@@ -179,14 +179,6 @@ class ChainRd:
         }
 
 
-def _cached_dk(cert: UndCertificate) -> tuple[Fraction, ...]:
-    cached = getattr(cert, "_dk_cache", None)
-    if cached is None:
-        cached = dk_sequence(cert)
-        cert._dk_cache = cached
-    return cached
-
-
 def find_chain_rd(
     cert: UndCertificate,
     companion: ProductCompanion,
@@ -207,7 +199,7 @@ def find_chain_rd(
         raise ValueError("companion dimension does not match the certificate")
     if levels < 1 or levels > cert.depth or levels > companion.base.depth:
         raise ValueError(f"cannot chain {levels} levels with this certificate/companion")
-    dk = _cached_dk(cert)
+    dk = cert.dk
     for n in range(levels):
         if companion.base.gap_lengths[n] >= dk[n]:
             raise InfeasibleGaps(
@@ -292,7 +284,7 @@ def certify_sum_interior_rd(
     and one chain is actually run at the box center as a self-test.
     """
     d = cert.dimension
-    dk = _cached_dk(cert)
+    dk = cert.dk
     if levels < 1 or levels > len(dk) or levels > companion.base.depth:
         raise ValueError(f"cannot certify {levels} levels with this certificate/companion")
     for n in range(levels):

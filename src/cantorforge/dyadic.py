@@ -55,26 +55,26 @@ def round_up(x: Fraction, bits: int) -> Fraction:
 
 
 def iroot_floor(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for non-negative integer n and k >= 1."""
+    """floor(n ** (1/k)) for non-negative integer n and k >= 1.
+
+    Integer Newton iteration from above (Brent and Zimmermann, Modern
+    Computer Arithmetic, section 1.5).  The seed 2**ceil(bits(n)/k) exceeds the
+    root, every step stays at or above the floor of the root and strictly
+    decreases until it reaches it, so no float and no upward walk is
+    involved, whatever the size of n.
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if k == 1 or n in (0, 1):
         return n
     if k == 2:
         return math.isqrt(n)
-    # Newton iteration on integers; the float seed is close enough that the
-    # correction loop runs a handful of times even for huge n.
-    x = int(n ** (1.0 / k)) + 1
+    x = 1 << -(-n.bit_length() // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    while x ** k > n:
-        x -= 1
-    while (x + 1) ** k <= n:
-        x += 1
-    return x
 
 
 def root_bounds(x: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
@@ -117,13 +117,13 @@ def pow_bounds(x: Fraction, e: Fraction, bits: int) -> tuple[Fraction, Fraction]
     """Certified enclosure of x ** e for x > 0 and rational e.
 
     Exact when the true value is rational (integer exponents, perfect
-    roots).  Negative exponents go through the reciprocal.
+    roots).  A negative exponent encloses (1/x) ** -e, so no rounded bound
+    is ever inverted.
     """
     if x <= 0:
         raise ValueError("pow_bounds requires a positive base")
     if e < 0:
-        lo, hi = pow_bounds(x, -e, bits)
-        return (1 / hi, 1 / lo)
+        return pow_bounds(1 / x, -e, bits)
     p = e.numerator
     q = e.denominator
     powed = x ** p

@@ -7,19 +7,30 @@ cubes of that side meeting it; connected components of the cover (cubes
 that share even a corner count as adjacent) are the nodes of the nested
 representation.
 
+A matrix-free geometry, shifted or not, is covered axis by axis.  Two
+product cells touch exactly when their factor intervals touch on every
+axis, so the cover graph is the strong product of the per-axis cover
+graphs, and the connected components of a strong product are exactly the
+products of the per-axis components.  Each axis refines and merges its
+own 1-D pieces, and a node's children are the product of the per-axis
+children.  A mapped geometry mixes the axes, so its cover is built from
+the image boxes of the product cells with a union-find.
+
 A non-degeneracy certificate picks, inside every node, d+1 descendant
 components that are pairwise separated on every coordinate axis.  All
 separations are reported as certified lower bounds computed from outward
 boxes, so a certificate that exists is a proof.  Ratio bounds for the
 kappa-comparability test are evaluated per cell pair at the corners of the
 joint difference box, which is where a coordinate ratio of affine
-functions attains its extremes.
+functions attains its extremes; for a product the extremes reduce to the
+gaps and spans of the two per-axis boxes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .cantor1d import (
@@ -220,8 +231,7 @@ class ProductGeometry:
         if shift is None:
             shift = (Fraction(0),) * self.dim
         self.shift = tuple(_as_iv(s) for s in shift)
-        # Unmapped products take integer fast paths in the cover build.
-        self._plain = matrix is None and all(s.lo == 0 and s.hi == 0 for s in self.shift)
+        self._splitters: dict = {}
 
     def with_matrix(self, matrix: RotationMatrix) -> "ProductGeometry":
         if self.matrix is not None:
@@ -259,51 +269,63 @@ class ProductGeometry:
     def exact_hull_box(self) -> tuple[IV, ...]:
         return self.cell_image_box(self.top_cell())
 
-    def refine_cells(self, cells, target: Fraction) -> list[tuple]:
-        """Split cells until every tree factor's interval is <= target wide.
+    def part_splitter(self, j: int, target: Fraction):
+        """Function taking a factor-``j`` part ``(addr, lo, hi)`` to its
+        pieces no wider than ``target``, left to right.
 
         A factor whose tree runs out of depth stays at its leaf interval;
-        the cover just stays coarser there, which is sound.
+        the cover just stays coarser there, which is sound.  Splitters are
+        cached per factor and target, so a symmetric tree's stopping depth
+        is found once per level, not once per part.
         """
-        for j, f in enumerate(self.factors):
-            if not isinstance(f, GapTree):
-                continue
-            split = f.split_interval
-            depth = f.depth
-            # Symmetric trees have one interval width per level, so the
-            # stopping depth is a function of the target alone and the
-            # per-cell width checks can be skipped.
-            uniform_stop = None
-            if isinstance(f, SymmetricGapTree):
-                uniform_stop = depth
-                for lvl, width in enumerate(f.level_lengths):
-                    if width <= target:
-                        uniform_stop = lvl
-                        break
-            done = []
-            for cell in cells:
-                part = cell[j]
-                if uniform_stop is not None:
-                    parts = [part]
-                    for _ in range(uniform_stop - len(part[0])):
-                        parts = [half for p in parts for half in split(*p)]
+        key = (j, target)
+        splitter = self._splitters.get(key)
+        if splitter is None:
+            splitter = self._splitters[key] = self._make_splitter(self.factors[j], target)
+        return splitter
+
+    @staticmethod
+    def _make_splitter(f, target: Fraction):
+        if not isinstance(f, GapTree):
+            return lambda part: (part,)
+        split = f.split_interval
+        depth = f.depth
+        if isinstance(f, SymmetricGapTree):
+            # One interval width per level: the stopping depth is a
+            # function of the target alone, so no per-part width checks.
+            stop = next((lvl for lvl, width in enumerate(f.level_lengths) if width <= target), depth)
+
+            def split_symmetric(part):
+                parts = [part]
+                for _ in range(stop - len(part[0])):
+                    parts = [half for p in parts for half in split(*p)]
+                return parts
+
+            return split_symmetric
+
+        def split_explicit(part):
+            stack = [part]
+            parts = []
+            while stack:
+                part = stack.pop()
+                addr, lo, hi = part
+                if hi - lo <= target or len(addr) >= depth:
+                    parts.append(part)
                 else:
-                    stack = [part]
-                    parts = []
-                    while stack:
-                        part = stack.pop()
-                        addr, lo, hi = part
-                        if hi - lo <= target or len(addr) >= depth:
-                            parts.append(part)
-                        else:
-                            left, right = split(addr, lo, hi)
-                            stack.append(right)
-                            stack.append(left)
-                for part in parts:
-                    item = list(cell)
-                    item[j] = part
-                    done.append(tuple(item))
-            cells = done
+                    left, right = split(addr, lo, hi)
+                    stack.append(right)
+                    stack.append(left)
+            return parts
+
+        return split_explicit
+
+    def refine_cells(self, cells, target: Fraction) -> list[tuple]:
+        """Split cells until every tree factor's interval is <= target wide."""
+        for j in range(self.dim):
+            split = self.part_splitter(j, target)
+            cells = [
+                cell[:j] + (part,) + cell[j + 1:] for cell in cells for part in split(cell[j])
+            ]
         return cells
 
 
@@ -313,36 +335,64 @@ class ProductGeometry:
 class Component:
     """One connected component of the cube cover at level ``m``.
 
-    Keeps the source cells it came from (ratio bounds need them), the
-    outward bounding box, and the cube index ranges for export.  Children
-    are the components of the refined cover one step deeper, computed on
-    first use and cached.
+    Keeps the source cells it came from (ratio bounds and export need
+    them), the outward bounding box, and the cube index ranges for export.
+    A component of a matrix-free geometry is a product and keeps only its
+    per-axis pieces in ``axes``; its ``cells`` and ``rects`` are built from
+    them on first use.  Children are the components of the refined cover
+    one step deeper, computed on first use and cached.
     """
 
-    __slots__ = ("rep", "level", "cells", "rects", "bbox", "path", "_children")
+    __slots__ = ("rep", "level", "bbox", "path", "axes", "_cells", "_rects", "_children")
 
-    def __init__(self, rep, level, cells, rects, bbox, path):
+    def __init__(self, rep, level, bbox, path, *, cells=None, rects=None, axes=None):
         self.rep = rep
         self.level = level
-        self.cells = cells
-        self.rects = rects
         self.bbox = bbox
         self.path = path
+        self.axes = axes
+        self._cells = cells
+        self._rects = rects
         self._children = None
+
+    @property
+    def cells(self) -> tuple:
+        if self._cells is None:
+            self._cells = _product_cells(self.axes)
+        return self._cells
+
+    @property
+    def rects(self) -> tuple:
+        if self._rects is None:
+            scale = 1 << self.level
+            shift = self.rep.geometry.shift
+            self._rects = tuple(
+                itertools.product(
+                    *(
+                        sorted({_cube_range(lo + s.lo, hi + s.hi, scale) for (_, lo, hi), _ in pieces})
+                        for pieces, s in zip(self.axes, shift)
+                    )
+                )
+            )
+        return self._rects
+
+    @property
+    def stripped(self) -> bool:
+        return self._cells == ()
 
     def diam_sq(self) -> Fraction:
         return sum((iv.hi - iv.lo) ** 2 for iv in self.bbox)
 
     def children(self) -> list["Component"]:
         if self._children is None:
-            if not self.cells:
+            if self.stripped:
                 raise EmptyGeometry(f"component {self.path} was stripped and cannot expand")
             level = self.level + self.rep.refine_step
             if level > self.rep.max_level:
                 self._children = []
             else:
-                self._children = self.rep._cover_components(self.cells, level, self.path)
-                if self._children and max(c.diam_sq() for c in self._children) >= self.diam_sq():
+                self._children, widest_sq = self.rep._expand(self, level)
+                if widest_sq >= self.diam_sq():
                     self.rep.not_shrinking.append(self.path)
         return self._children
 
@@ -357,8 +407,9 @@ class Component:
 
         The bounding box and path survive, which is all that separation
         sequences and chains need."""
-        self.cells = ()
-        self.rects = ()
+        self.axes = ()
+        self._cells = ()
+        self._rects = ()
 
     def cube_coords(self) -> list[tuple[int, ...]]:
         seen = set()
@@ -368,7 +419,7 @@ class Component:
         return sorted(seen)
 
     def to_json_obj(self, with_cubes: bool = True) -> dict:
-        if not self.cells:
+        if self.stripped:
             raise InvalidCertificate("component was stripped; rebuild with keep_cells=True to export")
         obj = {
             "level": self.level,
@@ -380,6 +431,29 @@ class Component:
         if with_cubes:
             obj["cubes"] = [self.level, [list(c) for c in self.cube_coords()]]
         return obj
+
+
+def _cube_range(lo: Fraction, hi: Fraction, scale: int) -> tuple[int, int]:
+    """Index range of the closed cubes of side 1/scale meeting [lo, hi]:
+    ceil(lo*scale - 1) and floor(hi*scale), in plain ints."""
+    dn, dd = lo.numerator, lo.denominator
+    return -((dd - dn * scale) // dd), (hi.numerator * scale) // hi.denominator
+
+
+def _product_cells(axes) -> tuple:
+    """The cells of a product component, in the order a cell-by-cell
+    refinement produces them.
+
+    ``refine_cells`` splits factor after factor, so at every level a cell
+    follows its parent cell and then its position within the parent on
+    axis 0, axis 1, and so on.  Each piece carries those positions, one per
+    level, as its key; interleaving the keys of the axes gives that order.
+    """
+    combos = sorted(
+        itertools.product(*axes),
+        key=lambda combo: tuple(itertools.chain.from_iterable(zip(*(key for _, key in combo)))),
+    )
+    return tuple(tuple(part for part, _ in combo) for combo in combos)
 
 
 class NestedRep:
@@ -399,13 +473,84 @@ class NestedRep:
         self.bits = bits
         self.not_shrinking: list[str] = []
         self.exact_hull = geometry.exact_hull_box()
-        self.root_components = self._cover_components([geometry.top_cell()], m0, "r")
+        # A shifted product snaps its boxes outward to the dyadic grid, as
+        # the mapped cover does; an unshifted one keeps its exact endpoints.
+        self._snap = any(s.lo != 0 or s.hi != 0 for s in geometry.shift)
+        top = geometry.top_cell()
+        if geometry.matrix is None:
+            root, _ = self._product_components(tuple(((part, ()),) for part in top), m0, "r")
+        else:
+            root = self._cover_components([top], m0, "r")
+        self.root_components = root
 
     @property
     def dim(self) -> int:
         return self.geometry.dim
 
-    def _cover_components(self, cells, m: int, parent_path: str) -> list["Component"]:
+    def _expand(self, comp: Component, m: int) -> tuple[list[Component], Fraction]:
+        """Children of ``comp`` at level ``m`` and the largest squared
+        diameter among them."""
+        if self.geometry.matrix is None:
+            return self._product_components(comp.axes, m, comp.path)
+        children = self._cover_components(comp.cells, m, comp.path)
+        return children, max(c.diam_sq() for c in children)
+
+    def _product_components(self, axes, m: int, parent_path: str) -> tuple[list[Component], Fraction]:
+        """Cover of a product component, axis by axis.
+
+        ``axes`` holds per axis the pieces ``(part, key)`` of the component.
+        Each axis refines its own pieces and merges them into 1-D components
+        with one left-to-right sweep: pieces touch when their cube index
+        ranges come within one cube of each other.  Two product cells touch
+        exactly when their pieces touch on every axis, so the cover graph is
+        the strong product of the per-axis graphs and its components are
+        the products of the per-axis components.  The widest product is
+        widest on every axis at once, which gives the largest squared
+        diameter without a pass over the products.
+        """
+        target = Fraction(1, 1 << m)
+        scale = 1 << m
+        per_axis = []
+        for j, pieces in enumerate(axes):
+            split = self.geometry.part_splitter(j, target)
+            shift = self.geometry.shift[j]
+            groups: list[list] = []
+            reach = None
+            for part, key in pieces:
+                for pos, sub in enumerate(split(part)):
+                    _, lo, hi = sub
+                    if self._snap:
+                        lo, hi = lo + shift.lo, hi + shift.hi
+                    lo, hi = _cube_range(lo, hi, scale)
+                    if reach is None or lo > reach + 1:
+                        groups.append([])
+                    groups[-1].append((sub, key + (pos,)))
+                    reach = hi
+            # Pieces run left to right, so a group reaches as far as its
+            # last piece, and its extremes are the low end of its first
+            # piece and the high end of its last.
+            per_axis.append(
+                [(tuple(g), self._axis_box(g[0][0][1], g[-1][0][2], shift)) for g in groups]
+            )
+        children = [
+            Component(
+                self,
+                m,
+                tuple(box for _, box in combo),
+                f"{parent_path}.{idx}",
+                axes=tuple(pieces for pieces, _ in combo),
+            )
+            for idx, combo in enumerate(itertools.product(*per_axis))
+        ]
+        return children, sum(max(box.length for _, box in groups) ** 2 for groups in per_axis)
+
+    def _axis_box(self, lo: Fraction, hi: Fraction, shift: IV) -> Interval:
+        if self._snap:
+            return Interval(round_down(lo + shift.lo, self.bits), round_up(hi + shift.hi, self.bits))
+        return Interval(lo, hi)
+
+    def _cover_components(self, cells, m: int, parent_path: str) -> list[Component]:
+        """Cover of a mapped component: cell image boxes and a union-find."""
         target = Fraction(1, 1 << m)
         refined = self.geometry.refine_cells(list(cells), target)
         if not refined:
@@ -414,20 +559,10 @@ class NestedRep:
         d = self.geometry.dim
         boxes = []
         rects = []
-        plain = self.geometry._plain
         for cell in refined:
-            if plain:
-                box = tuple((part[1], part[2]) for part in cell)
-            else:
-                box = tuple((v.lo, v.hi) for v in self.geometry.cell_image_box(cell))
+            box = tuple((v.lo, v.hi) for v in self.geometry.cell_image_box(cell))
             boxes.append(box)
-            rect = []
-            for lo, hi in box:
-                dn, dd = lo.numerator, lo.denominator
-                un, ud = hi.numerator, hi.denominator
-                # ceil(lo*scale - 1) and floor(hi*scale) in plain ints
-                rect.append((-((dd - dn * scale) // dd), (un * scale) // ud))
-            rects.append(tuple(rect))
+            rects.append(tuple(_cube_range(lo, hi, scale) for lo, hi in box))
 
         # Union-find over cells.  Each cell's cubes form one block, and two
         # blocks touch (corners included) exactly when their cube index
@@ -471,12 +606,7 @@ class NestedRep:
             for axis in range(d):
                 lo = min(boxes[i][axis][0] for i in members)
                 hi = max(boxes[i][axis][1] for i in members)
-                if plain:
-                    # Cell endpoints already have small denominators; the
-                    # dyadic snap only matters once a map has mixed them.
-                    bbox.append(Interval(lo, hi))
-                else:
-                    bbox.append(Interval(round_down(lo, self.bits), round_up(hi, self.bits)))
+                bbox.append(Interval(round_down(lo, self.bits), round_up(hi, self.bits)))
             comps.append(
                 (
                     tuple(min(rects[i][axis][0] for i in members) for axis in range(d)),
@@ -487,7 +617,7 @@ class NestedRep:
             )
         comps.sort(key=lambda item: item[0])
         return [
-            Component(self, m, cells_, rects_, bbox_, f"{parent_path}.{idx}")
+            Component(self, m, bbox_, f"{parent_path}.{idx}", cells=cells_, rects=rects_)
             for idx, (_, cells_, rects_, bbox_) in enumerate(comps)
         ]
 
@@ -532,8 +662,14 @@ def d_min(a, b) -> Fraction:
     box_b = b.bbox if isinstance(b, Component) else b
     best = None
     for ia, ib in zip(box_a, box_b):
-        gap = max(ib.lo - ia.hi, ia.lo - ib.hi, Fraction(0))
-        best = gap if best is None else min(best, gap)
+        if ib.lo > ia.hi:
+            gap = ib.lo - ia.hi
+        elif ia.lo > ib.hi:
+            gap = ia.lo - ib.hi
+        else:
+            return Fraction(0)
+        if best is None or gap < best:
+            best = gap
     return best
 
 
@@ -575,11 +711,17 @@ def kappa_ratios(a: Component, b: Component) -> tuple[Fraction, Fraction]:
     """Certified enclosure of the extreme coordinate ratios between two
     components: (lower bound of the min ratio, upper bound of the max).
 
-    Works cell pair by cell pair.  Both coordinates of a difference vector
-    are affine along each edge of the joint cell box, so their ratio is
-    monotone edge by edge once signs are pinned, and corner evaluation is
-    exhaustive.  An axis whose sign cannot be pinned makes the pair
-    degenerate.
+    Mapped components work cell pair by cell pair.  Both coordinates of a
+    difference vector are affine along each edge of the joint cell box, so
+    their ratio is monotone edge by edge once signs are pinned, and corner
+    evaluation is exhaustive.  An axis whose sign cannot be pinned makes the
+    pair degenerate.
+
+    Product components are separated on every axis once ``d_min`` is
+    positive, and their cell pairs range over every combination of pieces,
+    so the extremes are box arithmetic: with gap_i and span_i the least and
+    greatest axis-i distance between the two boxes of unshifted pieces, the
+    bounds are min gap_i/span_j and max span_i/gap_j over axes i != j.
     """
     sep = d_min(a, b)
     if sep <= 0:
@@ -587,8 +729,20 @@ def kappa_ratios(a: Component, b: Component) -> tuple[Fraction, Fraction]:
             if max(ib.lo - ia.hi, ia.lo - ib.hi, Fraction(0)) <= 0:
                 raise DegeneratePair(axis, f"components overlap along axis {axis}")
     geometry = a.rep.geometry
-    matrix_rows = geometry.matrix.rows if geometry.matrix is not None else None
     d = geometry.dim
+    if geometry.matrix is None:
+        gaps, spans = [], []
+        for pieces_a, pieces_b in zip(a.axes, b.axes):
+            a_lo, a_hi = pieces_a[0][0][1], pieces_a[-1][0][2]
+            b_lo, b_hi = pieces_b[0][0][1], pieces_b[-1][0][2]
+            gaps.append(max(b_lo - a_hi, a_lo - b_hi))
+            spans.append(max(b_hi - a_lo, a_hi - b_lo))
+        pairs = list(itertools.permutations(range(d), 2))
+        return (
+            min((gaps[i] / spans[j] for i, j in pairs), default=None),
+            max((spans[i] / gaps[j] for i, j in pairs), default=None),
+        )
+    matrix_rows = geometry.matrix.rows
     lo_best = None
     hi_best = None
     for cell_a in a.cells:
@@ -651,6 +805,11 @@ class UndCertificate:
     bits: int
     root: CertNode
     matrix: RotationMatrix | None
+
+    @cached_property
+    def dk(self) -> tuple[Fraction, ...]:
+        """``dk_sequence`` of this certificate, computed on first use."""
+        return dk_sequence(self)
 
     def nodes_at_level(self, k: int) -> list[CertNode]:
         nodes = [self.root]
@@ -816,13 +975,7 @@ def und_certificate(
                 return CertNode(k, selected, dmins, ratios, children)
         raise CertificateNotFound(path, max_k, _confinement_explanation(dim, probe_comps, margin))
 
-    def root_candidates(k: int) -> list[Component]:
-        comps = rep.root_components
-        for _ in range(k - 1):
-            comps = [child for c in comps for child in c.children()]
-        return comps
-
-    root = descend(root_candidates, "r", depth)
+    root = descend(lambda k: components_at(rep, k - 1), "r", depth)
     if not keep_cells:
         for comp in rep.root_components:
             _strip_subtree(comp)
@@ -830,7 +983,7 @@ def und_certificate(
 
 
 def _strip_subtree(comp: Component):
-    if not comp.cells:
+    if comp.stripped:
         return  # stripping runs bottom-up, so this subtree is already done
     comp.strip()
     if comp._children:
@@ -1048,7 +1201,7 @@ def image_separations(cert: UndCertificate, rows, shift) -> tuple[Fraction, ...]
     d = cert.dimension
 
     def image_bbox(comp: Component):
-        if not comp.cells:
+        if comp.stripped:
             raise InvalidCertificate("certificate was stripped; rebuild with keep_cells=True")
         geometry = comp.rep.geometry
         per_axis = None

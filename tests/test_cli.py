@@ -47,6 +47,20 @@ def test_precision_flag_lands_in_report(tmp_path):
     assert json.loads(blob)["precision_bits"] == 96
 
 
+@pytest.mark.parametrize("bits", [128, 256])
+def test_cube_root_distance_demo_at_high_precision(tmp_path, bits):
+    cfg = tmp_path / "cube.json"
+    cfg.write_text(json.dumps({
+        "pipeline": "distance-demo",
+        "params": {"alpha": "3/2", "dimension": 2, "depth": 12, "grid": 2, "tol": "1/100000000"},
+    }))
+    code, blob = run_to(tmp_path, cfg, "cube.out.json", extra=("--precision-bits", str(bits)))
+    assert code == 0
+    report = json.loads(blob)
+    assert report["precision_bits"] == bits
+    assert report["status"] == "ok"
+
+
 def test_degenerate_geometry_exits_two(tmp_path):
     cfg = tmp_path / "flat.json"
     cfg.write_text(json.dumps({

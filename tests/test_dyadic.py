@@ -56,6 +56,43 @@ def test_iroot_floor_brackets(n, k):
     assert r**k <= n < (r + 1) ** k
 
 
+@settings(max_examples=200)
+@given(st.integers(min_value=0, max_value=2**4000 - 1), st.integers(min_value=2, max_value=7))
+def test_iroot_floor_brackets_huge_radicands(n, k):
+    r = iroot_floor(n, k)
+    assert r**k <= n < (r + 1) ** k
+
+
+def test_iroot_floor_exact_powers_and_neighbours():
+    for k in range(2, 8):
+        for r in (2, 3, 10**20 + 7, 3**400):
+            assert iroot_floor(r**k, k) == r
+            assert iroot_floor(r**k - 1, k) == r - 1
+            assert iroot_floor(r**k + 1, k) == r
+
+
+def test_pow_bounds_beyond_float_range():
+    # 3**2 * 2**(3*400) is far above 2**1024, where a float seed overflows
+    lo, hi = pow_bounds(Fraction(3, 5), Fraction(2, 3), bits=400)
+    assert lo**3 <= Fraction(9, 25) <= hi**3
+    assert hi - lo <= Fraction(1, 2**400)
+
+
+def test_pow_bounds_high_bits_cube_roots_finish():
+    # radicands whose float seeds used to start an upward walk of ~2**76 steps
+    for n in range(1, 11):
+        for q in (3, 4):
+            lo, hi = pow_bounds(Fraction(n, 7), Fraction(1, q), 128)
+            assert lo**q <= Fraction(n, 7) <= hi**q
+
+
+def test_pow_bounds_negative_exponent_of_small_base():
+    # 1/lo used to divide by a lower bound that rounds to 0
+    lo, hi = pow_bounds(Fraction(1, 100), Fraction(-2, 3), 4)
+    assert 0 < lo <= hi
+    assert lo**3 <= Fraction(100) ** 2 <= hi**3
+
+
 def test_iroot_floor_rejects_negative():
     with pytest.raises(ValueError):
         iroot_floor(-1, 2)
