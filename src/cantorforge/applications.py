@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 
 from .cantor1d import (
     CantorForgeError,
@@ -33,6 +32,7 @@ from .cantor1d import (
 )
 from .containment1d import (
     ChainBroken,
+    _map_points,
     build_companion,
     certify_difference_interior,
     check_dominance,
@@ -290,6 +290,14 @@ class MonotoneImageTree(GapTree):
     right.  Per-level gap bounds come from the certified derivative range
     rather than from the (outward, hence overstated) mapped endpoints,
     which is why gap_bounds_certified_only is true here.
+
+    ``split_interval`` splits the base node and maps its two children
+    outward, so it returns exactly ``interval(addr + "0")`` and
+    ``interval(addr + "1")``, not a cut at the inward gap.  It remembers
+    the base node behind every child it returns and encloses each base
+    endpoint once per tree.  A child shares one endpoint with its parent,
+    so a step of a descent maps two new points and costs O(1); the two
+    memos hold about 2 entries per level descended.
     """
 
     def __init__(self, base: GapTree, spec: HSpec, lam, c, data: SliceDerivative, bits=None):
@@ -299,8 +307,10 @@ class MonotoneImageTree(GapTree):
         self.c = as_rat(c)
         self.data = data
         self.bits = precision_bits(bits)
-        a = spec.slice_point(self.lam, self.c, base.hull.lo, self.bits)
-        b = spec.slice_point(self.lam, self.c, base.hull.hi, self.bits)
+        self._slices: dict[Fraction, IV] = {}
+        self._base_nodes: dict[str, tuple[str, Fraction, Fraction]] = {}
+        a = self._slice(base.hull.lo)
+        b = self._slice(base.hull.hi)
         self.hull = Interval(min(a.lo, b.lo), max(a.hi, b.hi))
         self.depth = base.depth
 
@@ -308,6 +318,12 @@ class MonotoneImageTree(GapTree):
         if not self.data.decreasing:
             return addr
         return "".join("1" if ch == "0" else "0" for ch in addr)
+
+    def _slice(self, x: Fraction) -> IV:
+        iv = self._slices.get(x)
+        if iv is None:
+            iv = self._slices[x] = self.spec.slice_point(self.lam, self.c, x, self.bits)
+        return iv
 
     def _map_outward(self, iv: Interval) -> Interval:
         a = self.spec.slice_point(self.lam, self.c, iv.lo, self.bits)
@@ -318,6 +334,24 @@ class MonotoneImageTree(GapTree):
         if len(addr) > self.depth:
             raise LevelOutOfRange(len(addr), self.depth)
         return self._map_outward(self.base.interval(self._base_addr(addr)))
+
+    def split_interval(self, addr: str, lo: Fraction, hi: Fraction):
+        # lo and hi follow from the base node, which is looked up instead.
+        node = self._base_nodes.get(addr)
+        if node is None:
+            base_addr = self._base_addr(addr)
+            iv = self.base.interval(base_addr)
+            node = (base_addr, iv.lo, iv.hi)
+        children = self.base.split_interval(*node)
+        if self.data.decreasing:
+            children = children[::-1]
+        out = []
+        for bit, child in zip("01", children):
+            self._base_nodes[addr + bit] = child
+            a = self._slice(child[1])
+            b = self._slice(child[2])
+            out.append((addr + bit, min(a.lo, b.lo), max(a.hi, b.hi)))
+        return tuple(out)
 
     def gap(self, addr: str) -> Interval:
         # Inward enclosure: a reported gap must sit inside the true one.
@@ -524,11 +558,7 @@ def verify_H_interior(
         return InteriorPoint(c, lam, ok, reason, resid, x_pt, y_pt, chain.bound)
 
     grid = [(c, lam) for c in c_values for lam in lam_values]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = tuple(pool.map(run_point, grid))
-    else:
-        points = tuple(run_point(p) for p in grid)
+    points = _map_points(run_point, grid, threads)
 
     per_c_ok = []
     m = len(lam_values)
@@ -783,11 +813,7 @@ def erdos_obstruction(
             lam, t, True, i, None, chain.bound, chain.witness_k, chain.witness_kt
         )
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = tuple(pool.map(run_map, family))
-    else:
-        records = tuple(run_map(p) for p in family)
+    records = _map_points(run_map, family, threads)
     return ObstructionReport(
         window=window,
         spacing=spacing,

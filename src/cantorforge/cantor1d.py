@@ -242,6 +242,17 @@ class SymmetricGapTree(GapTree):
         # lengths[n] is the common length of level-n intervals
         self.level_lengths = tuple(lengths)
 
+    @classmethod
+    def _derived(cls, hull: Interval, gap_lengths: tuple, level_lengths: tuple) -> "SymmetricGapTree":
+        """Tree from per-level data taken exactly from a valid tree, so the
+        feasibility walk of ``__init__`` is skipped (see ``affine_image``)."""
+        tree = cls.__new__(cls)
+        tree.hull = hull
+        tree.gap_lengths = gap_lengths
+        tree.depth = len(gap_lengths)
+        tree.level_lengths = level_lengths
+        return tree
+
     def interval(self, addr: str) -> Interval:
         _check_addr(addr, self.depth, gap=False)
         lo = self.hull.lo
@@ -410,8 +421,15 @@ def affine_image(tree: GapTree, lam, t) -> GapTree:
         return Interval(min(a, b), max(a, b))
 
     if isinstance(tree, SymmetricGapTree):
+        # A positive scale of a feasible tree is feasible, and exact
+        # arithmetic gives |lam| (L - g) / 2 = (|lam| L - |lam| g) / 2, so
+        # the scaled tuples are the ones SymmetricGapTree would derive.
         scale = abs(lam)
-        return SymmetricGapTree(map_iv(tree.hull), tuple(scale * g for g in tree.gap_lengths))
+        gaps, lengths = tree.gap_lengths, tree.level_lengths
+        if scale != 1:
+            gaps = tuple(scale * g for g in gaps)
+            lengths = tuple(scale * length for length in lengths)
+        return SymmetricGapTree._derived(map_iv(tree.hull), gaps, lengths)
     flip = lam < 0
     gaps = {}
     for n in range(tree.depth):

@@ -462,12 +462,15 @@ def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False,
     if not isinstance(params, dict):
         raise ConfigError("params", "must be an object")
     eff_seed = seed if seed is not None else int(config.get("seed", 0))
-    cfg_bits = config.get("precision_bits")
-    eff_bits = bits if bits is not None else (int(cfg_bits) if cfg_bits is not None else None)
+    # Checked once here: the report records the precision after the
+    # pipeline ran, where a bad value would escape every handler.
+    try:
+        eff_bits = precision_bits(bits if bits is not None else config.get("precision_bits"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("precision_bits", str(exc)) from None
 
     old_env = os.environ.get(PRECISION_ENV)
-    if eff_bits is not None:
-        os.environ[PRECISION_ENV] = str(eff_bits)
+    os.environ[PRECISION_ENV] = str(eff_bits)
     started = time.monotonic()
     ctx = {"seed": eff_seed, "threads": threads, "bits": eff_bits}
     try:
@@ -481,11 +484,10 @@ def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False,
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError("params", f"{type(exc).__name__}: {exc}") from None
     finally:
-        if eff_bits is not None:
-            if old_env is None:
-                os.environ.pop(PRECISION_ENV, None)
-            else:
-                os.environ[PRECISION_ENV] = old_env
+        if old_env is None:
+            os.environ.pop(PRECISION_ENV, None)
+        else:
+            os.environ[PRECISION_ENV] = old_env
     elapsed = time.monotonic() - started
 
     report = {
@@ -493,7 +495,7 @@ def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False,
         "version": __version__,
         "pipeline": pipeline,
         "seed": eff_seed,
-        "precision_bits": precision_bits(eff_bits),
+        "precision_bits": eff_bits,
         "status": "ok" if ok else "failed",
         "timing_seconds": round(elapsed, 6) if timing else None,
         "config": config,
@@ -560,7 +562,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None, help="report path (default: stdout)")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=1)
+    p_run.add_argument("--threads", type=int, default=1, help="accepted; maps run serially")
     p_run.add_argument("--timing", action="store_true", help="record wall time (breaks byte-identity)")
     p_run.add_argument("--precision-bits", type=int, default=None)
 

@@ -14,7 +14,6 @@ into an interior statement for the difference set K - Kt.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,33 +128,37 @@ def find_chain(k: GapTree, kt: GapTree, levels: int) -> WitnessChain:
     side; the other side's child of k clears it.  When both sides are clear
     we take the left branch.  The witnesses are the midpoints of the final
     intervals and the bound is the final companion interval length.
+
+    The walk carries ``(addr, lo, hi)`` of the held node of each tree from
+    ``interval("")`` down and splits it with ``split_interval``, so a step
+    costs O(1) and a chain O(levels); no address is re-walked from the root.
     """
     report = check_dominance(k, kt, levels)
     if not report.overall:
         raise DominanceNotVerified(report)
-    addr_k = ""
-    addr_kt = ""
+    root_k = k.interval("")
+    root_t = kt.interval("")
+    node_k = ("", root_k.lo, root_k.hi)
+    node_t = ("", root_t.lo, root_t.hi)
     pairs = []
     for n in range(levels):
-        left_k = k.interval(addr_k + "0")
-        right_k = k.interval(addr_k + "1")
-        left_t = kt.interval(addr_kt + "0")
-        right_t = kt.interval(addr_kt + "1")
-        if left_k.hi < left_t.hi and left_t.lo <= left_k.lo:
-            addr_k += "0"
-            addr_kt += "0"
-        elif right_t.lo < right_k.lo and right_k.hi <= right_t.hi:
-            addr_k += "1"
-            addr_kt += "1"
+        # nodes are (addr, lo, hi) triples
+        left_k, right_k = k.split_interval(*node_k)
+        left_t, right_t = kt.split_interval(*node_t)
+        if left_k[2] < left_t[2] and left_t[1] <= left_k[1]:
+            node_k, node_t = left_k, left_t
+        elif right_t[1] < right_k[1] and right_k[2] <= right_t[2]:
+            node_k, node_t = right_k, right_t
         else:
             raise ChainBroken(n + 1)
-        pairs.append((addr_k, addr_kt))
-    final_t = kt.interval(addr_kt)
+        pairs.append((node_k[0], node_t[0]))
+    _, lo_k, hi_k = node_k
+    _, lo_t, hi_t = node_t
     return WitnessChain(
         pairs=tuple(pairs),
-        witness_k=k.interval(addr_k).midpoint(),
-        witness_kt=final_t.midpoint(),
-        bound=final_t.length,
+        witness_k=(lo_k + hi_k) / 2,
+        witness_kt=(lo_t + hi_t) / 2,
+        bound=hi_t - lo_t,
     )
 
 
@@ -285,6 +288,15 @@ def dominance_slack(k: GapTree, kt: GapTree, levels: int) -> Fraction:
     return min(k.level_min_gap(n) / kt.level_max_gap(n) for n in range(levels))
 
 
+def _map_points(fn, items, threads: int = 1) -> tuple:
+    """``fn`` over ``items`` in input order; the package's one map helper.
+
+    Serial for every ``threads``: exact ``Fraction`` work holds the
+    interpreter lock, so a thread pool only made the sweeps slower.
+    """
+    return tuple(fn(item) for item in items)
+
+
 def robustness_sweep(
     k: GapTree,
     kt: GapTree,
@@ -315,9 +327,5 @@ def robustness_sweep(
             return SweepPoint(lam, t, False, None, f"chain-broken-{exc.level}")
         return SweepPoint(lam, t, True, chain.bound, None)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(run_point, combos))
-    else:
-        points = [run_point(c) for c in combos]
-    return SweepReport(slack, tuple(points), all(p.ok for p in points))
+    points = _map_points(run_point, combos, threads)
+    return SweepReport(slack, points, all(p.ok for p in points))

@@ -18,6 +18,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cantor1d import as_rat
+
 DEFAULT_PRECISION_BITS = 64
 PRECISION_ENV = "CANTOR_FORGE_PRECISION_BITS"
 
@@ -149,7 +151,7 @@ class IV:
 
     @staticmethod
     def point(x) -> "IV":
-        x = Fraction(x)
+        x = as_rat(x)
         return IV(x, x)
 
     @property

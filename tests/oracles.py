@@ -167,3 +167,50 @@ def circle_slope_at_least(eta, c, x):
     if x <= 0 or x * x >= c:
         raise ValueError("need 0 < x with x^2 < c")
     return x * x >= eta * eta * (c - x * x)
+
+
+# ---------------------------------------------------------------------------
+# containment chains
+
+def reference_find_chain(k, kt, levels):
+    """The chain walk that re-enters both trees from the root at every step.
+
+    Four ``interval`` calls per level, each walking its address from the
+    root: O(levels^2), and built only on ``interval``, not on
+    ``split_interval``.  ``containment1d.find_chain`` must return the same
+    ``WitnessChain`` or break at the same level.
+    """
+    from cantorforge.containment1d import (
+        ChainBroken,
+        DominanceNotVerified,
+        WitnessChain,
+        check_dominance,
+    )
+
+    report = check_dominance(k, kt, levels)
+    if not report.overall:
+        raise DominanceNotVerified(report)
+    addr_k = ""
+    addr_kt = ""
+    pairs = []
+    for n in range(levels):
+        left_k = k.interval(addr_k + "0")
+        right_k = k.interval(addr_k + "1")
+        left_t = kt.interval(addr_kt + "0")
+        right_t = kt.interval(addr_kt + "1")
+        if left_k.hi < left_t.hi and left_t.lo <= left_k.lo:
+            addr_k += "0"
+            addr_kt += "0"
+        elif right_t.lo < right_k.lo and right_k.hi <= right_t.hi:
+            addr_k += "1"
+            addr_kt += "1"
+        else:
+            raise ChainBroken(n + 1)
+        pairs.append((addr_k, addr_kt))
+    final_t = kt.interval(addr_kt)
+    return WitnessChain(
+        pairs=tuple(pairs),
+        witness_k=k.interval(addr_k).midpoint(),
+        witness_kt=final_t.midpoint(),
+        bound=final_t.length,
+    )

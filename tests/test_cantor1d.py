@@ -140,6 +140,25 @@ def test_affine_image_moves_every_cover(lam, t, level):
     assert oracles.tree_cover(img, level) == want
 
 
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(-1), Fraction(101, 100), Fraction(-3, 7)])
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(5, 3), Fraction(-2, 9)])
+@settings(max_examples=15)
+@given(st.text(alphabet="01", max_size=12))
+def test_scaled_symmetric_image_equals_the_rederived_tree(lam, t, addr):
+    base = build_binary_ifs(Interval(Fraction(-1, 3), Fraction(7, 5)), Fraction(2, 7), 12)
+    img = affine_image(base, lam, t)
+    rederived = SymmetricGapTree(img.hull, tuple(abs(lam) * g for g in base.gap_lengths))
+    assert img.hull == Interval(min(lam * base.hull.lo, lam * base.hull.hi) + t,
+                                max(lam * base.hull.lo, lam * base.hull.hi) + t)
+    assert img.gap_lengths == rederived.gap_lengths
+    assert img.level_lengths == rederived.level_lengths
+    assert img == rederived
+    assert img.interval(addr) == rederived.interval(addr)
+    if abs(lam) == 1:
+        assert img.gap_lengths is base.gap_lengths
+        assert img.level_lengths is base.level_lengths
+
+
 def test_affine_image_zero_scale():
     with pytest.raises(ZeroScale):
         affine_image(middle_thirds(3), Fraction(0), Fraction(1))

@@ -47,6 +47,28 @@ def test_precision_flag_lands_in_report(tmp_path):
     assert json.loads(blob)["precision_bits"] == 96
 
 
+@pytest.mark.parametrize("bits", ["0", "-1"])
+@pytest.mark.parametrize("config", SCENARIOS, ids=lambda p: p.stem)
+def test_precision_below_one_bit_is_a_config_error(tmp_path, capsys, config, bits):
+    out = tmp_path / "rep.json"
+    assert main(["run", str(config), "--out", str(out), "--precision-bits", bits]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "precision_bits" in err
+    assert not out.exists()
+
+
+def test_precision_below_one_bit_in_the_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "zero.json"
+    cfg.write_text(json.dumps({
+        "pipeline": "companion-1d",
+        "precision_bits": 0,
+        "params": {"set": {"kind": "middle-thirds", "depth": 6}, "levels": 6},
+    }))
+    assert main(["run", str(cfg)]) == 1
+    assert "precision_bits" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bits", [128, 256])
 def test_cube_root_distance_demo_at_high_precision(tmp_path, bits):
     cfg = tmp_path / "cube.json"

@@ -185,6 +185,9 @@ def test_iv_validation_and_helpers():
     assert not v.strictly_positive()
     assert not v.sign_definite()
     assert IV.point(Fraction(2, 7)).width == 0
+    assert IV.point("1/3") == IV(Fraction(1, 3), Fraction(1, 3))
+    with pytest.raises(TypeError, match="refusing float input"):
+        IV.point(0.1)
 
 
 @given(st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=10**4),
