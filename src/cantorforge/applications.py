@@ -32,7 +32,6 @@ from .cantor1d import (
 )
 from .containment1d import (
     ChainBroken,
-    _map_points,
     build_companion,
     certify_difference_interior,
     check_dominance,
@@ -293,11 +292,14 @@ class MonotoneImageTree(GapTree):
 
     ``split_interval`` splits the base node and maps its two children
     outward, so it returns exactly ``interval(addr + "0")`` and
-    ``interval(addr + "1")``, not a cut at the inward gap.  It remembers
-    the base node behind every child it returns and encloses each base
-    endpoint once per tree.  A child shares one endpoint with its parent,
-    so a step of a descent maps two new points and costs O(1); the two
-    memos hold about 2 entries per level descended.
+    ``interval(addr + "1")``, not a cut at the inward gap.  The ``lo`` and
+    ``hi`` it is given are ignored: the children follow from the base
+    node, which it looks up.  It remembers the base node behind every
+    child it returns and encloses each base endpoint once per tree.  A
+    child shares one endpoint with its parent, so a step of a descent
+    maps two new points and costs O(1).  Both memos live as long as the
+    tree and grow with the number of distinct nodes split; only a single
+    descent, as in ``find_chain``, keeps them at about 2 entries per level.
     """
 
     def __init__(self, base: GapTree, spec: HSpec, lam, c, data: SliceDerivative, bits=None):
@@ -519,7 +521,8 @@ def verify_H_interior(
     check, chain, and an exact-rational residual at the pinned witness
     pair.  A point passes when the chain lands and the residual is at most
     tol.  certified_c is the longest contiguous run of c values whose every
-    lam row passed, None if there is none.
+    lam row passed, None if there is none.  ``threads`` is accepted and
+    ignored; the grid runs serially.
     """
     bits = precision_bits(bits)
     tol = as_rat(tol)
@@ -558,7 +561,7 @@ def verify_H_interior(
         return InteriorPoint(c, lam, ok, reason, resid, x_pt, y_pt, chain.bound)
 
     grid = [(c, lam) for c in c_values for lam in lam_values]
-    points = _map_points(run_point, grid, threads)
+    points = tuple(map(run_point, grid))
 
     per_c_ok = []
     m = len(lam_values)
@@ -644,6 +647,7 @@ def pinned_distance_demo(
     c values becomes an interval of achieved distances.  alpha must exceed
     1: at alpha = 1 the slice derivative degenerates to -1 everywhere and
     the distance reading breaks down at the axes, so it is rejected.
+    ``threads`` is accepted and ignored.
     """
     alpha = as_rat(alpha)
     if alpha <= 1:
@@ -657,7 +661,7 @@ def pinned_distance_demo(
     c_values = grid_values(c_range, grid)
     k2 = nonlinear_companion(k1, spec, spec.lam_box, c_range, depth=depth, bits=bits)
     interior = verify_H_interior(
-        spec, k1, k2, c_values, [alpha], depth, tol, bits=bits, threads=threads
+        spec, k1, k2, c_values, [alpha], depth, tol, bits=bits
     )
     coverage = None
     if interior.certified_c is not None:
@@ -761,7 +765,8 @@ def erdos_obstruction(
     < slack, some translate admits a containment chain against the moved
     tree, pinning an intersection point.  Maps outside the slack bounds
     and maps whose image escapes the window are both rejected upfront
-    with FamilyOutOfSlack.
+    with FamilyOutOfSlack.  ``threads`` is accepted and ignored; the maps
+    run serially.
     """
     family = [(as_rat(l), as_rat(t)) for l, t in family]
     khat = build_companion(k, levels, margin=margin, factor=factor)
@@ -813,7 +818,7 @@ def erdos_obstruction(
             lam, t, True, i, None, chain.bound, chain.witness_k, chain.witness_kt
         )
 
-    records = _map_points(run_map, family, threads)
+    records = tuple(map(run_map, family))
     return ObstructionReport(
         window=window,
         spacing=spacing,

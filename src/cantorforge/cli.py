@@ -274,7 +274,7 @@ def _pipe_sweep_1d(params, ctx):
         int(params.get("lambda_count", 21)),
         int(params.get("t_count", 21)),
     )
-    sweep = robustness_sweep(k, kt, pert, levels, threads=ctx["threads"])
+    sweep = robustness_sweep(k, kt, pert, levels)
     return {"sweep": sweep.to_json_obj()}, kt.to_json_obj(), sweep.all_ok
 
 
@@ -404,7 +404,6 @@ def _pipe_distance_demo(params, ctx):
         grid=int(params.get("grid", 101)),
         tol=_rat(params.get("tol", "1/100000000"), "params.tol"),
         bits=ctx["bits"],
-        threads=ctx["threads"],
     )
     return {"distance": report.to_json_obj()}, None, report.interior.all_ok
 
@@ -422,7 +421,6 @@ def _pipe_erdos_demo(params, ctx):
         levels,
         margin=margin,
         factor=factor,
-        threads=ctx["threads"],
     )
     khat = build_companion(k, levels, margin=margin, factor=factor)
     return {"obstruction": report.to_json_obj()}, khat.to_json_obj(), report.all_ok
@@ -445,7 +443,10 @@ _HANDLERS = {
 # entry points
 
 def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False, bits=None):
-    """Execute one scenario; returns (report dict, exit code)."""
+    """Execute one scenario; returns (report dict, exit code).
+
+    ``threads`` is accepted and ignored; every map runs serially.
+    """
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -462,8 +463,7 @@ def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False,
     if not isinstance(params, dict):
         raise ConfigError("params", "must be an object")
     eff_seed = seed if seed is not None else int(config.get("seed", 0))
-    # Checked once here: the report records the precision after the
-    # pipeline ran, where a bad value would escape every handler.
+    # Checked before the pipeline, so a bad value is a ConfigError (exit 1).
     try:
         eff_bits = precision_bits(bits if bits is not None else config.get("precision_bits"))
     except (TypeError, ValueError) as exc:
@@ -472,7 +472,7 @@ def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False,
     old_env = os.environ.get(PRECISION_ENV)
     os.environ[PRECISION_ENV] = str(eff_bits)
     started = time.monotonic()
-    ctx = {"seed": eff_seed, "threads": threads, "bits": eff_bits}
+    ctx = {"seed": eff_seed, "bits": eff_bits}
     try:
         try:
             results, geometry, ok = _HANDLERS[pipeline](params, ctx)

@@ -288,15 +288,6 @@ def dominance_slack(k: GapTree, kt: GapTree, levels: int) -> Fraction:
     return min(k.level_min_gap(n) / kt.level_max_gap(n) for n in range(levels))
 
 
-def _map_points(fn, items, threads: int = 1) -> tuple:
-    """``fn`` over ``items`` in input order; the package's one map helper.
-
-    Serial for every ``threads``: exact ``Fraction`` work holds the
-    interpreter lock, so a thread pool only made the sweeps slower.
-    """
-    return tuple(fn(item) for item in items)
-
-
 def robustness_sweep(
     k: GapTree,
     kt: GapTree,
@@ -306,8 +297,10 @@ def robustness_sweep(
 ) -> SweepReport:
     """Re-run the chain for every (lambda, t) on the perturbation grid.
 
-    Points are visited lambda-major, t-minor, and results keep that order
-    regardless of the thread count.  Failures are recorded per point.
+    Points are visited lambda-major, t-minor, and results keep that order.
+    Failures are recorded per point.  ``threads`` is accepted and ignored:
+    exact ``Fraction`` work holds the interpreter lock, so the sweep runs
+    serially.
     """
     slack = dominance_slack(k, kt, levels)
     combos = [(lam, t) for lam in pert.lambda_values() for t in pert.t_values()]
@@ -327,5 +320,5 @@ def robustness_sweep(
             return SweepPoint(lam, t, False, None, f"chain-broken-{exc.level}")
         return SweepPoint(lam, t, True, chain.bound, None)
 
-    points = _map_points(run_point, combos, threads)
+    points = tuple(map(run_point, combos))
     return SweepReport(slack, points, all(p.ok for p in points))
