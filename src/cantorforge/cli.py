@@ -48,7 +48,6 @@ from .nested_rd import (
     ProductGeometry,
     RotationMatrix,
     build_nested_rep,
-    default_candidates,
     rotation_search,
     und_certificate,
 )
@@ -136,20 +135,20 @@ def _build_set(spec, field):
     raise ConfigError(field, f"unknown set kind {kind!r}")
 
 
-def _build_matrix(spec, dim, seed, field):
+def _build_matrix(spec, dim, seed, field, bits):
     if spec is None or spec == "identity":
         return None
     if spec == "axis-mixing":
-        return RotationMatrix.axis_mixing(dim)
+        return RotationMatrix.axis_mixing(dim, bits)
     if isinstance(spec, dict) and spec.get("kind") == "quasi-random":
-        return RotationMatrix.quasi_random(dim, int(spec.get("seed", seed)))
+        return RotationMatrix.quasi_random(dim, int(spec.get("seed", seed)), bits)
     if isinstance(spec, list):
         rows = [[_rat(e, field) for e in row] for row in spec]
         return RotationMatrix("config", rows)
     raise ConfigError(field, f"unknown matrix spec {spec!r}")
 
 
-def _build_geometry(spec, seed, field="geometry") -> ProductGeometry:
+def _build_geometry(spec, seed, bits, field="geometry") -> ProductGeometry:
     if not isinstance(spec, dict) or "factors" not in spec:
         raise ConfigError(field, "expected an object with 'factors'")
     factors = []
@@ -159,7 +158,7 @@ def _build_geometry(spec, seed, field="geometry") -> ProductGeometry:
             factors.append(_rat(fs["value"], sub))
         else:
             factors.append(_build_set(fs, sub))
-    matrix = _build_matrix(spec.get("matrix"), len(factors), seed, field + ".matrix")
+    matrix = _build_matrix(spec.get("matrix"), len(factors), seed, field + ".matrix", bits)
     shift = None
     if spec.get("shift") is not None:
         shift = tuple(_rat(s, field + ".shift") for s in spec["shift"])
@@ -279,7 +278,7 @@ def _pipe_sweep_1d(params, ctx):
 
 
 def _cert_from_params(params, ctx, keep_cells):
-    geom = _build_geometry(params["geometry"], ctx["seed"])
+    geom = _build_geometry(params["geometry"], ctx["seed"], ctx["bits"])
     rep = build_nested_rep(
         geom,
         int(params.get("m0", 2)),
@@ -309,11 +308,10 @@ def _pipe_nondegeneracy(params, ctx):
 
 
 def _pipe_rotate_fix(params, ctx):
-    geom = _build_geometry(params["geometry"], ctx["seed"])
+    geom = _build_geometry(params["geometry"], ctx["seed"], ctx["bits"])
     kappa = params.get("kappa")
     result = rotation_search(
         geom,
-        candidates=default_candidates(geom.dim, seed=ctx["seed"]),
         kappa=None if kappa is None else _rat(kappa, "params.kappa"),
         max_k=int(params.get("max_k", 2)),
         depth=int(params.get("depth", 1)),
@@ -321,6 +319,7 @@ def _pipe_rotate_fix(params, ctx):
         max_level=int(params["max_level"]),
         refine_step=int(params.get("refine_step", 2)),
         bits=ctx["bits"],
+        seed=ctx["seed"],
     )
     seps = separation_sequence(result.certificate)
     results = {

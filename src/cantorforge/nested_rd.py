@@ -14,7 +14,8 @@ graphs, and the connected components of a strong product are exactly the
 products of the per-axis components.  Each axis refines and merges its
 own 1-D pieces, and a node's children are the product of the per-axis
 children.  A mapped geometry mixes the axes, so its cover is built from
-the image boxes of the product cells with a union-find.
+the image boxes of the product cells with a union-find; each box is a sum
+of per-axis image columns, one column per factor piece.
 
 A non-degeneracy certificate picks, inside every node, d+1 descendant
 components that are pairwise separated on every coordinate axis.  All
@@ -29,6 +30,7 @@ gaps and spans of the two per-axis boxes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -550,19 +552,56 @@ class NestedRep:
         return Interval(lo, hi)
 
     def _cover_components(self, cells, m: int, parent_path: str) -> list[Component]:
-        """Cover of a mapped component: cell image boxes and a union-find."""
+        """Cover of a mapped component: cell image boxes and a union-find.
+
+        A linear map sends a product cell P_0 x ... x P_{d-1} to
+        shift + sum_j col_j(M) * P_j, and the interval column col_j(M) * P_j
+        depends only on the axis j and the piece P_j.  So each column is
+        computed once per piece, keyed by its address (a point factor has
+        the single address None), and a cell's image box is a sum of
+        columns.  The columns and the shift are held as integer numerators
+        over one common denominator D, the lcm of all their denominators:
+        a cell's box is then a sum of ints, its cube range two floor
+        divisions, and a component's bounding box becomes a ``Fraction``
+        over D and is rounded outward once per axis.  All of it is exact,
+        so the boxes are those of ``ProductGeometry.cell_image_box``.
+        """
         target = Fraction(1, 1 << m)
-        refined = self.geometry.refine_cells(list(cells), target)
+        geometry = self.geometry
+        refined = geometry.refine_cells(list(cells), target)
         if not refined:
             raise EmptyGeometry("no cells to cover")
         scale = 1 << m
-        d = self.geometry.dim
-        boxes = []
-        rects = []
+        d = geometry.dim
+        rows = geometry.matrix.rows
+        # Per axis j: piece address -> the products M_ij * P_j over i.
+        columns = [{} for _ in range(d)]
         for cell in refined:
-            box = tuple((v.lo, v.hi) for v in self.geometry.cell_image_box(cell))
-            boxes.append(box)
-            rects.append(tuple(_cube_range(lo, hi, scale) for lo, hi in box))
+            for j, (addr, lo, hi) in enumerate(cell):
+                if addr not in columns[j]:
+                    piece = IV(lo, hi)
+                    columns[j][addr] = [rows[i][j] * piece for i in range(d)]
+        ivs = [*geometry.shift, *(v for table in columns for col in table.values() for v in col)]
+        den = math.lcm(*(end.denominator for v in ivs for end in (v.lo, v.hi)))
+
+        def numerators(ivs):
+            """Flat (lo_0, hi_0, lo_1, hi_1, ...) numerators over den."""
+            return tuple(end.numerator * (den // end.denominator) for v in ivs for end in (v.lo, v.hi))
+
+        offset = numerators(geometry.shift)
+        for table in columns:
+            for addr, col in table.items():
+                table[addr] = numerators(col)
+        boxes = [
+            tuple(map(sum, zip(offset, *(table[part[0]] for table, part in zip(columns, cell)))))
+            for cell in refined
+        ]
+        # Closed cubes of side 1/scale meeting [lo, hi]: ceil(lo*scale - 1)
+        # and floor(hi*scale), as in _cube_range.
+        rects = [
+            tuple((-((den - box[k] * scale) // den), (box[k + 1] * scale) // den) for k in range(0, 2 * d, 2))
+            for box in boxes
+        ]
 
         # Union-find over cells.  Each cell's cubes form one block, and two
         # blocks touch (corners included) exactly when their cube index
@@ -602,17 +641,19 @@ class NestedRep:
             groups.setdefault(find(i), []).append(i)
         comps = []
         for members in groups.values():
-            bbox = []
-            for axis in range(d):
-                lo = min(boxes[i][axis][0] for i in members)
-                hi = max(boxes[i][axis][1] for i in members)
-                bbox.append(Interval(round_down(lo, self.bits), round_up(hi, self.bits)))
+            bbox = tuple(
+                Interval(
+                    round_down(Fraction(min(boxes[i][k] for i in members), den), self.bits),
+                    round_up(Fraction(max(boxes[i][k + 1] for i in members), den), self.bits),
+                )
+                for k in range(0, 2 * d, 2)
+            )
             comps.append(
                 (
                     tuple(min(rects[i][axis][0] for i in members) for axis in range(d)),
                     tuple(refined[i] for i in members),
                     tuple(sorted({rects[i] for i in members})),
-                    tuple(bbox),
+                    bbox,
                 )
             )
         comps.sort(key=lambda item: item[0])
@@ -805,6 +846,7 @@ class UndCertificate:
     bits: int
     root: CertNode
     matrix: RotationMatrix | None
+    shift: tuple[IV, ...]
 
     @cached_property
     def dk(self) -> tuple[Fraction, ...]:
@@ -828,7 +870,7 @@ class UndCertificate:
         return out
 
     def to_json_obj(self, with_cubes: bool = True) -> dict:
-        return {
+        obj = {
             "kind": "und-certificate",
             "dimension": self.dimension,
             "kappa": rat_pair(self.kappa) if self.kappa is not None else None,
@@ -838,6 +880,11 @@ class UndCertificate:
             "matrix": self.matrix.to_json_obj() if self.matrix is not None else None,
             "root": self.root.to_json_obj(with_cubes),
         }
+        # Only a shifted geometry carries its shift, so unshifted
+        # certificates keep the bytes they always had.
+        if any(s.lo != 0 or s.hi != 0 for s in self.shift):
+            obj["shift"] = [[rat_pair(s.lo), rat_pair(s.hi)] for s in self.shift]
+        return obj
 
     def to_json(self) -> str:
         return canonical_json(self.to_json_obj())
@@ -979,7 +1026,9 @@ def und_certificate(
     if not keep_cells:
         for comp in rep.root_components:
             _strip_subtree(comp)
-    return UndCertificate(dim, kappa, depth, margin, rep.bits, root, rep.geometry.matrix)
+    return UndCertificate(
+        dim, kappa, depth, margin, rep.bits, root, rep.geometry.matrix, rep.geometry.shift
+    )
 
 
 def _strip_subtree(comp: Component):
@@ -1012,10 +1061,11 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     """Re-check an exported certificate from its own data alone.
 
     Bounding boxes are recomputed from the embedded source cells (through
-    the embedded matrix when one is present), separations from those, and
-    every claimed ratio interval is re-derived by a direct corner scan.
-    No geometry objects from this package are rebuilt, so agreement is a
-    genuine second opinion on the arithmetic.
+    the embedded matrix when one is present, then moved by the embedded
+    shift), separations from those, and every claimed ratio interval is
+    re-derived by a direct corner scan.  No geometry objects from this
+    package are rebuilt, so agreement is a genuine second opinion on the
+    arithmetic.
     """
     problems: list[str] = []
     if obj.get("kind") != "und-certificate":
@@ -1029,18 +1079,21 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
             [IV(rat_from_pair(e[0]), rat_from_pair(e[1])) for e in row]
             for row in obj["matrix"]["rows"]
         ]
+    if obj.get("shift") is not None:
+        shift = [IV(rat_from_pair(s[0]), rat_from_pair(s[1])) for s in obj["shift"]]
+    else:
+        shift = [IV.point(0)] * dim
 
     def image_hull(cells):
         per_axis = None
         for cell in cells:
             if rows is None:
-                box = [IV(rat_from_pair(v[0]), rat_from_pair(v[1])) for v in cell]
+                box = [IV(lo, hi) + s for (lo, hi), s in zip(cell, shift)]
             else:
                 box = []
                 for i in range(dim):
-                    acc = IV.point(0)
-                    for j in range(dim):
-                        lo, hi = rat_from_pair(cell[j][0]), rat_from_pair(cell[j][1])
+                    acc = shift[i]
+                    for j, (lo, hi) in enumerate(cell):
                         acc = acc + rows[i][j] * IV(lo, hi)
                     box.append(acc)
             if per_axis is None:
@@ -1054,9 +1107,10 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
         if len(comps) != dim + 1:
             problems.append(f"{path}: expected {dim + 1} components, found {len(comps)}")
             return
+        cells = [_parse_cells(comp["source_cells"]) for comp in comps]
         hulls = []
         for idx, comp in enumerate(comps):
-            hull = image_hull(comp["source_cells"])
+            hull = image_hull(cells[idx])
             hulls.append(hull)
             claimed = [(rat_from_pair(v[0]), rat_from_pair(v[1])) for v in comp["bbox"]]
             for axis in range(dim):
@@ -1096,9 +1150,7 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
                     if hi_claim > kappa:
                         problems.append(f"{path}: ratio bound {key} exceeds kappa")
                     try:
-                        lo_new, hi_new = _reverify_ratios(
-                            comps[i]["source_cells"], comps[j]["source_cells"], rows, dim
-                        )
+                        lo_new, hi_new = _reverify_ratios(cells[i], cells[j], rows, dim)
                     except DegeneratePair:
                         problems.append(f"{path}: ratio pair {key} degenerate on re-evaluation")
                         continue
@@ -1111,16 +1163,19 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     return (not problems), problems
 
 
+def _parse_cells(source_cells) -> list[list[tuple[Fraction, Fraction]]]:
+    """Exported ``source_cells`` as per-axis ``(lo, hi)`` rationals."""
+    return [[(rat_from_pair(lo), rat_from_pair(hi)) for lo, hi in cell] for cell in source_cells]
+
+
 def _reverify_ratios(cells_a, cells_b, rows, dim):
+    """Corner scan over every cell pair of two parsed cell lists (see
+    ``_parse_cells``); the shift cancels in the differences."""
     lo_best = None
     hi_best = None
     for cell_a in cells_a:
         for cell_b in cells_b:
-            diff = []
-            for axis in range(dim):
-                a_lo, a_hi = (rat_from_pair(p) for p in cell_a[axis])
-                b_lo, b_hi = (rat_from_pair(p) for p in cell_b[axis])
-                diff.append(IV(a_lo - b_hi, a_hi - b_lo))
+            diff = [IV(a_lo - b_hi, a_hi - b_lo) for (a_lo, a_hi), (b_lo, b_hi) in zip(cell_a, cell_b)]
             lo, hi = _corner_ratio_scan(diff, rows, dim)
             lo_best = lo if lo_best is None else min(lo_best, lo)
             hi_best = hi if hi_best is None else max(hi_best, hi)

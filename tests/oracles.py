@@ -10,7 +10,7 @@ oracles is the point of the exercise; neither side is trusted alone.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 import mpmath
 
@@ -214,3 +214,52 @@ def reference_find_chain(k, kt, levels):
         witness_kt=final_t.midpoint(),
         bound=final_t.length,
     )
+
+
+# ---------------------------------------------------------------------------
+# mapped covers
+
+def reference_cover_components(geometry, cells, m, parent_path, bits):
+    """The mapped cover one cell at a time, as (path, cells, rects, bbox).
+
+    Every refined cell gets its own ``ProductGeometry.cell_image_box``, its
+    cube range comes from ``math.ceil``/``math.floor`` on ``Fraction``s, and
+    two cells are joined when their ranges come within one cube on every
+    axis, tested over all pairs.  Components are ordered by their least
+    cube index per axis, ties by their first cell, and their bounding boxes
+    are snapped outward to ``2**-bits``.  ``NestedRep._cover_components``
+    must give the same paths, cells, rects and boxes.
+    """
+    import math
+
+    refined = geometry.refine_cells(list(cells), Fraction(1, 1 << m))
+    scale = 1 << m
+    unit = 1 << bits
+    boxes = [tuple((v.lo, v.hi) for v in geometry.cell_image_box(cell)) for cell in refined]
+    rects = [
+        tuple((math.ceil(lo * scale - 1), math.floor(hi * scale)) for lo, hi in box) for box in boxes
+    ]
+    label = list(range(len(refined)))
+    for i, j in combinations(range(len(refined)), 2):
+        if label[i] != label[j] and all(
+            b_lo <= a_hi + 1 and a_lo <= b_hi + 1 for (a_lo, a_hi), (b_lo, b_hi) in zip(rects[i], rects[j])
+        ):
+            old, new = label[j], label[i]
+            label = [new if x == old else x for x in label]
+    groups = {}
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
+    comps = []
+    for members in groups.values():
+        corner = tuple(min(rects[i][axis][0] for i in members) for axis in range(geometry.dim))
+        bbox = tuple(
+            (
+                Fraction(math.floor(min(boxes[i][axis][0] for i in members) * unit), unit),
+                Fraction(math.ceil(max(boxes[i][axis][1] for i in members) * unit), unit),
+            )
+            for axis in range(geometry.dim)
+        )
+        members_rects = tuple(sorted({rects[i] for i in members}))
+        comps.append((corner, tuple(refined[i] for i in members), members_rects, bbox))
+    comps.sort(key=lambda item: item[0])
+    return [(f"{parent_path}.{idx}", *comp[1:]) for idx, comp in enumerate(comps)]

@@ -196,6 +196,28 @@ def test_split_interval_agrees_with_interval():
         assert (lo1, hi1) == (tree.interval(a1).lo, tree.interval(a1).hi)
 
 
+@settings(max_examples=40)
+@given(
+    feasible_gap_lists,
+    st.fractions(min_value=-3, max_value=3, max_denominator=9),
+    st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=9),
+)
+def test_symmetric_level_scan_matches_interval(fractions_of_level, lo, width):
+    """The split-based level scan of a symmetric tree gives the per-address
+    ``interval`` of every address, in address order, at every level."""
+    hull = Interval(lo, lo + width)
+    gaps = []
+    length = width
+    for f in fractions_of_level:
+        gaps.append(f * length)
+        length = (length - gaps[-1]) / 2
+    tree = build_symmetric(SymmetricSpec(hull, tuple(gaps)))
+    for n in range(tree.depth + 1):
+        assert list(tree.level_intervals(n)) == [tree.interval(a) for a in addresses(n)]
+    with pytest.raises(LevelOutOfRange):
+        list(tree.level_intervals(tree.depth + 1))
+
+
 def test_level_out_of_range():
     tree = middle_thirds(3)
     with pytest.raises(LevelOutOfRange):

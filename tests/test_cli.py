@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from cantorforge.cli import emit_geometry, main, run_scenario
+from cantorforge.cli import _build_geometry, emit_geometry, main, run_scenario
+from cantorforge.dyadic import PRECISION_ENV
+from cantorforge.nested_rd import RotationMatrix
 
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "demos" / "scenarios").glob("*.json"))
 
@@ -45,6 +48,21 @@ def test_precision_flag_lands_in_report(tmp_path):
     code, blob = run_to(tmp_path, config, "bits.json", extra=("--precision-bits", "96"))
     assert code == 0
     assert json.loads(blob)["precision_bits"] == 96
+
+
+@pytest.mark.parametrize("spec", ["axis-mixing", {"kind": "quasi-random", "seed": 3}])
+def test_matrix_precision_is_passed_not_read_from_the_environment(monkeypatch, spec):
+    monkeypatch.delenv(PRECISION_ENV, raising=False)
+    geometry = {"factors": [{"kind": "middle-thirds", "depth": 4}] * 2, "matrix": spec}
+    rows = _build_geometry(geometry, 0, 128).matrix.rows
+    if spec == "axis-mixing":
+        expected = RotationMatrix.axis_mixing(2, 128)
+        # entries are +-sqrt(1/2) enclosed at 128 + 16 bits
+        assert {(e.hi - e.lo) for row in rows for e in row} == {Fraction(1, 1 << 144)}
+    else:
+        expected = RotationMatrix.quasi_random(2, 3, 128)
+    assert rows == expected.rows
+    assert rows != _build_geometry(geometry, 0, 64).matrix.rows
 
 
 @pytest.mark.parametrize("bits", ["0", "-1"])

@@ -128,6 +128,44 @@ def test_tampered_bbox_is_rejected(square_cert):
     assert not ok
 
 
+def shifted_square_cert(matrix):
+    geom = ProductGeometry(
+        [middle_thirds(10), middle_thirds(10)], matrix=matrix, shift=(Fraction(3), Fraction(-2))
+    )
+    rep = build_nested_rep(geom, 2, 9, refine_step=3)
+    return und_certificate(rep, max_k=2, depth=2)
+
+
+@pytest.mark.parametrize("mixing", [False, True], ids=["unmapped", "axis-mixing"])
+def test_shifted_certificate_verifies_and_carries_its_shift(mixing):
+    cert = shifted_square_cert(RotationMatrix.axis_mixing(2) if mixing else None)
+    obj = json.loads(cert.to_json())
+    assert obj["shift"] == [[[3, 1], [3, 1]], [[-2, 1], [-2, 1]]]
+    ok, problems = verify_certificate(obj)
+    assert ok, problems
+    # the boxes really sit at the shift: without it they fail to enclose
+    del obj["shift"]
+    ok, problems = verify_certificate(obj)
+    assert not ok
+    assert any("does not enclose" in p for p in problems)
+
+
+@pytest.mark.parametrize("mixing", [False, True], ids=["unmapped", "axis-mixing"])
+def test_tampered_shifted_bbox_is_rejected(mixing):
+    cert = shifted_square_cert(RotationMatrix.axis_mixing(2) if mixing else None)
+    obj = json.loads(cert.to_json())
+    box = obj["root"]["components"][1]["bbox"]
+    box[1][1] = box[1][0]  # collapse axis 1 onto its lower endpoint
+    ok, problems = verify_certificate(obj)
+    assert not ok
+    assert "root.c1: claimed bbox does not enclose its cells on axis 1" in problems
+
+
+def test_unshifted_certificate_exports_no_shift(square_cert):
+    cert, _rep = square_cert
+    assert "shift" not in cert.to_json_obj()
+
+
 def test_flat_geometry_fails_with_axis_diagnosis():
     geom = ProductGeometry([middle_thirds(8), Fraction(0)])
     rep = build_nested_rep(geom, 2, 10, refine_step=2)
