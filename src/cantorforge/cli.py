@@ -8,7 +8,9 @@ null unless --timing is passed, precisely to keep that guarantee.
 
 Exit codes: 0 clean run, 2 a certificate or verification failed (the
 report is still written, with the failure inside), 1 usage or config
-problems.
+problems.  ``cantor-forge verify REPORT`` re-checks the certificate of a
+saved report: 0 when it verifies, 2 with the problems on stderr when it
+does not, 1 when the report holds no certificate or is not JSON.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .nested_rd import (
     build_nested_rep,
     rotation_search,
     und_certificate,
+    verify_certificate,
 )
 from .containment_rd import (
     build_product_companion,
@@ -565,6 +568,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--timing", action="store_true", help="record wall time (breaks byte-identity)")
     p_run.add_argument("--precision-bits", type=int, default=None)
 
+    p_verify = sub.add_parser("verify", help="re-check the certificate of a saved report")
+    p_verify.add_argument("report")
+
     p_dump = sub.add_parser("dump", help="export report geometry as CSV")
     p_dump.add_argument("report")
     p_dump.add_argument("--format", required=True, choices=["csv-intervals", "csv-boxes"])
@@ -585,6 +591,15 @@ def main(argv=None) -> int:
             return code
         with open(args.report, "r", encoding="utf-8") as fh:
             report = json.load(fh)
+        if args.command == "verify":
+            results = report.get("results") if isinstance(report, dict) else None
+            certificate = results.get("certificate") if isinstance(results, dict) else None
+            if certificate is None:
+                raise KindMismatch("report carries no certificate")
+            ok, problems = verify_certificate(certificate)
+            for problem in problems:
+                print(f"cantor-forge: {problem}", file=sys.stderr)
+            return 0 if ok else 2
         if args.out is None:
             emit_geometry(report, args.format, sys.stdout, level=args.level)
         else:

@@ -23,8 +23,13 @@ separations are reported as certified lower bounds computed from outward
 boxes, so a certificate that exists is a proof.  Ratio bounds for the
 kappa-comparability test are evaluated per cell pair at the corners of the
 joint difference box, which is where a coordinate ratio of affine
-functions attains its extremes; for a product the extremes reduce to the
-gaps and spans of the two per-axis boxes.
+functions attains its extremes once every coordinate keeps one strict sign
+over the box; a pair whose corners do not pin every sign is degenerate.
+The scan runs on integers: cell endpoints are numerators over one common
+denominator and matrix entries over another, which a ratio of two image
+coordinates cancels, and candidate ratios are compared by
+cross-multiplying.  For a product the extremes reduce to the gaps and
+spans of the two per-axis boxes.
 """
 
 from __future__ import annotations
@@ -586,7 +591,7 @@ class NestedRep:
 
         def numerators(ivs):
             """Flat (lo_0, hi_0, lo_1, hi_1, ...) numerators over den."""
-            return tuple(end.numerator * (den // end.denominator) for v in ivs for end in (v.lo, v.hi))
+            return tuple(_over(end, den) for v in ivs for end in (v.lo, v.hi))
 
         offset = numerators(geometry.shift)
         for table in columns:
@@ -714,38 +719,101 @@ def d_min(a, b) -> Fraction:
     return best
 
 
-def _corner_ratio_scan(diff_ivs, matrix_rows, d):
-    """Min/max |delta_i|/|delta_j| over corners of a difference box.
+def _over(x, den: int) -> int:
+    """Numerator of the rational ``x`` over ``den``, a multiple of its denominator."""
+    return x.numerator * (den // x.denominator)
 
-    diff_ivs are per-factor difference intervals; matrix_rows (or None)
-    maps source differences to ambient ones.  Raises DegeneratePair when a
-    denominator's sign cannot be pinned.
+
+def _integer_cells(cell_lists) -> tuple[int, list[list[tuple]]]:
+    """Cells of several lists, each a sequence of per-axis ``(lo, hi)``
+    rationals, as ``(lo, hi)`` integer numerators over one common
+    denominator; returns the denominator and the lists."""
+    den = math.lcm(*(end.denominator for cells in cell_lists for cell in cells for pair in cell for end in pair))
+    return den, [
+        [tuple((_over(lo, den), _over(hi, den)) for lo, hi in cell) for cell in cells] for cells in cell_lists
+    ]
+
+
+def _integer_rows(rows) -> tuple[int, list[list[tuple[int, int]]]]:
+    """Interval matrix entries as ``(lo, hi)`` integer numerators over one
+    common denominator; returns the denominator and the rows."""
+    den = math.lcm(*(end.denominator for row in rows for e in row for end in (e.lo, e.hi)))
+    return den, [[(_over(e.lo, den), _over(e.hi, den)) for e in row] for row in rows]
+
+
+def _corner_ratio_scan(cells_a, cells_b, rows, d):
+    """Min/max |delta_i|/|delta_j| over the corners of the difference box
+    of every cell pair, i != j.
+
+    ``cells_a`` and ``cells_b`` are integer cells from ``_integer_cells``
+    (one denominator for both lists); ``rows`` is None or the matrix from
+    ``_integer_rows``.  Scaling both coordinates of a ratio by the same
+    factor leaves it unchanged, so the numerators alone are enough.  The
+    image of a corner x on axis i is the interval sum over j of
+    min/max(m_lo*x_j, m_hi*x_j); without a matrix it is x_i.
+
+    Signs are pinned per cell pair: on every axis either all corners are
+    strictly positive or all are strictly negative, else DegeneratePair is
+    raised.  Only then is a ratio of two coordinates monotone along every
+    edge of the box, so that its extremes sit at corners.
+
+    The pairs (i, j) and (j, i) give reciprocal bounds, so the greatest
+    upper bound is the reciprocal of the least lower bound.  The least is
+    kept as ``(n, q)`` and compared by cross-multiplying; the ``Fraction``s
+    are built once, at the end.  Returns (None, None) when d < 2.
     """
-    lo_best = None
-    hi_best = None
-    corners = itertools.product(*((v.lo, v.hi) if v.lo != v.hi else (v.lo,) for v in diff_ivs))
-    for corner in corners:
-        if matrix_rows is None:
-            mags = [(abs(x), abs(x)) for x in corner]
-        else:
-            mags = []
-            for i in range(d):
-                acc = IV.point(0)
-                for j in range(d):
-                    acc = acc + matrix_rows[i][j].scaled(corner[j])
-                a = acc.abs()
-                mags.append((a.lo, a.hi))
-        for i in range(d):
-            for j in range(d):
-                if i == j:
+    best_n, best_q = 1, 0  # n/q, starting at +infinity
+    pairs = list(itertools.permutations(range(d), 2))
+    for cell_a in cells_a:
+        for cell_b in cells_b:
+            diffs = [(a_lo - b_hi, a_hi - b_lo) for (a_lo, a_hi), (b_lo, b_hi) in zip(cell_a, cell_b)]
+            if rows is None:
+                mags = []
+                for axis, (lo, hi) in enumerate(diffs):
+                    if lo > 0:
+                        mags.append((lo, hi) if lo != hi else (lo,))
+                    elif hi < 0:
+                        mags.append((-hi, -lo) if lo != hi else (-lo,))
+                    else:
+                        raise DegeneratePair(axis)
+                # Without a matrix the least ratio at a corner is its least
+                # magnitude over its greatest.
+                for corner in itertools.product(*mags):
+                    low, high = min(corner), max(corner)
+                    if low * best_q < best_n * high:
+                        best_n, best_q = low, high
+                continue
+            images = []
+            for corner in itertools.product(*((lo, hi) if lo != hi else (lo,) for lo, hi in diffs)):
+                image = []
+                for row in rows:
+                    s_lo = s_hi = 0
+                    for (m_lo, m_hi), x in zip(row, corner):
+                        p, q = m_lo * x, m_hi * x
+                        if p <= q:
+                            s_lo += p
+                            s_hi += q
+                        else:
+                            s_lo += q
+                            s_hi += p
+                    image.append((s_lo, s_hi))
+                images.append(image)
+            for axis in range(d):
+                if all(image[axis][0] > 0 for image in images):
                     continue
-                if mags[j][0] <= 0:
-                    raise DegeneratePair(j)
-                lo = mags[i][0] / mags[j][1]
-                hi = mags[i][1] / mags[j][0]
-                lo_best = lo if lo_best is None else min(lo_best, lo)
-                hi_best = hi if hi_best is None else max(hi_best, hi)
-    return lo_best, hi_best
+                if not all(image[axis][1] < 0 for image in images):
+                    raise DegeneratePair(axis)
+                for image in images:
+                    s_lo, s_hi = image[axis]
+                    image[axis] = (-s_hi, -s_lo)
+            for image in images:
+                for i, j in pairs:
+                    low, high = image[i][0], image[j][1]
+                    if low * best_q < best_n * high:
+                        best_n, best_q = low, high
+    if d < 2 or best_q == 0:
+        return None, None
+    return Fraction(best_n, best_q), Fraction(best_q, best_n)
 
 
 def kappa_ratios(a: Component, b: Component) -> tuple[Fraction, Fraction]:
@@ -783,19 +851,12 @@ def kappa_ratios(a: Component, b: Component) -> tuple[Fraction, Fraction]:
             min((gaps[i] / spans[j] for i, j in pairs), default=None),
             max((spans[i] / gaps[j] for i, j in pairs), default=None),
         )
-    matrix_rows = geometry.matrix.rows
-    lo_best = None
-    hi_best = None
-    for cell_a in a.cells:
-        for cell_b in b.cells:
-            diff = [
-                IV(la - hb, ha - lb)
-                for (_, la, ha), (_, lb, hb) in zip(cell_a, cell_b)
-            ]
-            lo, hi = _corner_ratio_scan(diff, matrix_rows, d)
-            lo_best = lo if lo_best is None else min(lo_best, lo)
-            hi_best = hi if hi_best is None else max(hi_best, hi)
-    return lo_best, hi_best
+    return _reverify_ratios(
+        [[(lo, hi) for _, lo, hi in cell] for cell in a.cells],
+        [[(lo, hi) for _, lo, hi in cell] for cell in b.cells],
+        geometry.matrix.rows,
+        d,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -990,6 +1051,8 @@ def und_certificate(
     if depth < 1:
         raise ValueError("certificate depth must be at least 1")
     kappa = as_rat(kappa) if kappa is not None else None
+    if kappa is not None and rep.dim < 2:
+        raise ValueError("kappa needs at least two axes")
     margin = as_rat(margin)
     if margin <= 0:
         raise ValueError("separation margin must be positive")
@@ -1060,58 +1123,84 @@ def dk_sequence(cert: UndCertificate) -> tuple[Fraction, ...]:
 def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     """Re-check an exported certificate from its own data alone.
 
+    The shape is checked too: every node holds dim+1 components, its ``dmin``
+    (and its ``ratios`` when kappa is set) has one key ``"i,j"`` for each
+    pair of components i < j and no other, and every node above the
+    declared depth has dim+1 children while the leaves have none.
     Bounding boxes are recomputed from the embedded source cells (through
     the embedded matrix when one is present, then moved by the embedded
     shift), separations from those, and every claimed ratio interval is
-    re-derived by a direct corner scan.  No geometry objects from this
-    package are rebuilt, so agreement is a genuine second opinion on the
-    arithmetic.
+    re-derived by a direct corner scan over the cell pairs, never by the
+    box arithmetic of the product path.  Each node's cells become integer
+    numerators over one denominator once, for both the boxes and the
+    scan.  No geometry objects from this package are rebuilt, so agreement
+    is a genuine second opinion on the arithmetic.  Data that does not
+    parse is reported as a problem, not raised.
     """
-    problems: list[str] = []
-    if obj.get("kind") != "und-certificate":
+    if not isinstance(obj, dict) or obj.get("kind") != "und-certificate":
         return False, ["not a certificate object"]
+    problems: list[str] = []
+    try:
+        _check_certificate(obj, problems)
+    except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+        problems.append(f"malformed certificate: {type(exc).__name__}: {exc}")
+    return (not problems), problems
+
+
+def _check_certificate(obj: dict, problems: list[str]):
     dim = int(obj["dimension"])
+    depth = int(obj["depth"])
     margin = rat_from_pair(obj["margin"])
     kappa = rat_from_pair(obj["kappa"]) if obj["kappa"] is not None else None
-    rows = None
+    if kappa is not None and dim < 2:
+        problems.append("kappa needs at least two axes")
+        kappa = None
+    rows, row_den = None, 1
     if obj.get("matrix") is not None:
-        rows = [
-            [IV(rat_from_pair(e[0]), rat_from_pair(e[1])) for e in row]
-            for row in obj["matrix"]["rows"]
-        ]
+        row_den, rows = _integer_rows(
+            [[IV(rat_from_pair(e[0]), rat_from_pair(e[1])) for e in row] for row in obj["matrix"]["rows"]]
+        )
     if obj.get("shift") is not None:
         shift = [IV(rat_from_pair(s[0]), rat_from_pair(s[1])) for s in obj["shift"]]
     else:
         shift = [IV.point(0)] * dim
+    pair_keys = {f"{i},{j}": (i, j) for i, j in itertools.combinations(range(dim + 1), 2)}
 
-    def image_hull(cells):
-        per_axis = None
-        for cell in cells:
-            if rows is None:
-                box = [IV(lo, hi) + s for (lo, hi), s in zip(cell, shift)]
-            else:
+    def check_keys(path, name, claims):
+        missing = [key for key in pair_keys if key not in claims]
+        unexpected = sorted(key for key in claims if key not in pair_keys)
+        if missing or unexpected:
+            problems.append(
+                f"{path}: {name} keys are not the component pairs (missing {missing}, unexpected {unexpected})"
+            )
+
+    def image_hull(cells, den):
+        """Per-axis hull of the cells' images, moved by the shift."""
+        if rows is None:
+            ends = [(min(cell[i][0] for cell in cells), max(cell[i][1] for cell in cells)) for i in range(dim)]
+        else:
+            ends = None
+            for cell in cells:
                 box = []
-                for i in range(dim):
-                    acc = shift[i]
-                    for j, (lo, hi) in enumerate(cell):
-                        acc = acc + rows[i][j] * IV(lo, hi)
-                    box.append(acc)
-            if per_axis is None:
-                per_axis = box
-            else:
-                per_axis = [IV(min(a.lo, b.lo), max(a.hi, b.hi)) for a, b in zip(per_axis, box)]
-        return per_axis
+                for row in rows:
+                    s_lo = s_hi = 0
+                    for (m_lo, m_hi), (x_lo, x_hi) in zip(row, cell):
+                        products = (m_lo * x_lo, m_lo * x_hi, m_hi * x_lo, m_hi * x_hi)
+                        s_lo += min(products)
+                        s_hi += max(products)
+                    box.append((s_lo, s_hi))
+                ends = box if ends is None else [(min(a[0], b[0]), max(a[1], b[1])) for a, b in zip(ends, box)]
+        den *= row_den
+        return [IV(Fraction(lo, den) + s.lo, Fraction(hi, den) + s.hi) for (lo, hi), s in zip(ends, shift)]
 
-    def check_node(node, path, parent_box):
+    def check_node(node, path, parent_box, level):
         comps = node["components"]
         if len(comps) != dim + 1:
             problems.append(f"{path}: expected {dim + 1} components, found {len(comps)}")
             return
-        cells = [_parse_cells(comp["source_cells"]) for comp in comps]
-        hulls = []
-        for idx, comp in enumerate(comps):
-            hull = image_hull(cells[idx])
-            hulls.append(hull)
+        den, cells = _integer_cells([_parse_cells(comp["source_cells"]) for comp in comps])
+        hulls = [image_hull(c, den) for c in cells]
+        for idx, (comp, hull) in enumerate(zip(comps, hulls)):
             claimed = [(rat_from_pair(v[0]), rat_from_pair(v[1])) for v in comp["bbox"]]
             for axis in range(dim):
                 if claimed[axis][0] > hull[axis].lo or claimed[axis][1] < hull[axis].hi:
@@ -1124,9 +1213,12 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
                         problems.append(
                             f"{path}.c{idx}: not nested inside its parent on axis {axis}"
                         )
-        for key, pair in node["dmin"].items():
-            i, j = (int(x) for x in key.split(","))
-            claimed = rat_from_pair(pair)
+        dmins = node["dmin"]
+        check_keys(path, "dmin", dmins)
+        for key, (i, j) in pair_keys.items():
+            if key not in dmins:
+                continue
+            claimed = rat_from_pair(dmins[key])
             actual = None
             for axis in range(dim):
                 gap = max(
@@ -1140,27 +1232,37 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
             if claimed < margin:
                 problems.append(f"{path}: separation {key} below margin")
         if kappa is not None:
-            if not node.get("ratios"):
+            ratios = node.get("ratios")
+            if not ratios:
                 problems.append(f"{path}: kappa given but no ratio bounds recorded")
             else:
-                for key, (lo_pair, hi_pair) in node["ratios"].items():
-                    i, j = (int(x) for x in key.split(","))
+                check_keys(path, "ratios", ratios)
+                for key, (i, j) in pair_keys.items():
+                    if key not in ratios:
+                        continue
+                    lo_pair, hi_pair = ratios[key]
                     lo_claim = rat_from_pair(lo_pair)
                     hi_claim = rat_from_pair(hi_pair)
                     if hi_claim > kappa:
                         problems.append(f"{path}: ratio bound {key} exceeds kappa")
                     try:
-                        lo_new, hi_new = _reverify_ratios(cells[i], cells[j], rows, dim)
+                        lo_new, hi_new = _corner_ratio_scan(cells[i], cells[j], rows, dim)
                     except DegeneratePair:
                         problems.append(f"{path}: ratio pair {key} degenerate on re-evaluation")
                         continue
                     if lo_claim > lo_new or hi_claim < hi_new:
                         problems.append(f"{path}: ratio claim {key} fails corner re-evaluation")
-        for idx, child in enumerate(node.get("children", ())):
-            check_node(child, f"{path}.{idx}", hulls[idx])
+        children = node.get("children", ())
+        expected = dim + 1 if level < depth else 0
+        if len(children) != expected:
+            problems.append(
+                f"{path}: expected {expected} children at level {level} of depth {depth}, found {len(children)}"
+            )
+            return
+        for idx, child in enumerate(children):
+            check_node(child, f"{path}.{idx}", hulls[idx], level + 1)
 
-    check_node(obj["root"], "root", None)
-    return (not problems), problems
+    check_node(obj["root"], "root", None, 1)
 
 
 def _parse_cells(source_cells) -> list[list[tuple[Fraction, Fraction]]]:
@@ -1169,17 +1271,12 @@ def _parse_cells(source_cells) -> list[list[tuple[Fraction, Fraction]]]:
 
 
 def _reverify_ratios(cells_a, cells_b, rows, dim):
-    """Corner scan over every cell pair of two parsed cell lists (see
-    ``_parse_cells``); the shift cancels in the differences."""
-    lo_best = None
-    hi_best = None
-    for cell_a in cells_a:
-        for cell_b in cells_b:
-            diff = [IV(a_lo - b_hi, a_hi - b_lo) for (a_lo, a_hi), (b_lo, b_hi) in zip(cell_a, cell_b)]
-            lo, hi = _corner_ratio_scan(diff, rows, dim)
-            lo_best = lo if lo_best is None else min(lo_best, lo)
-            hi_best = hi if hi_best is None else max(hi_best, hi)
-    return lo_best, hi_best
+    """``_corner_ratio_scan`` over every cell pair of two lists of
+    per-axis ``(lo, hi)`` rational cells (see ``_parse_cells``), through
+    the interval matrix ``rows`` when it is not None; the shift cancels in
+    the differences."""
+    _, (ints_a, ints_b) = _integer_cells((cells_a, cells_b))
+    return _corner_ratio_scan(ints_a, ints_b, None if rows is None else _integer_rows(rows)[1], dim)
 
 
 # ---------------------------------------------------------------------------

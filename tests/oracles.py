@@ -263,3 +263,55 @@ def reference_cover_components(geometry, cells, m, parent_path, bits):
         comps.append((corner, tuple(refined[i] for i in members), members_rects, bbox))
     comps.sort(key=lambda item: item[0])
     return [(f"{parent_path}.{idx}", *comp[1:]) for idx, comp in enumerate(comps)]
+
+
+# ---------------------------------------------------------------------------
+# ratio scans
+
+def reference_corner_ratio_scan(cells_a, cells_b, rows, d):
+    """Min/max |delta_i|/|delta_j|, i != j, over the corners of every cell
+    pair's difference box, in ``Fraction``s and ``IV``s.
+
+    Cells are per-axis ``(lo, hi)`` rationals and ``rows`` is None or a
+    matrix of ``IV`` entries.  A corner's image on axis i is the interval
+    sum of the entries scaled by the corner.  A cell pair must keep one
+    strict sign on every axis at all of its corners, else
+    ``DegeneratePair``; then every ordered axis pair gives its own lower
+    and upper bound at every corner, divided out in ``Fraction``s.
+    ``nested_rd._reverify_ratios`` must return the same pair, or raise on
+    the same input.
+    """
+    from cantorforge.dyadic import IV
+    from cantorforge.nested_rd import DegeneratePair
+
+    lo_best = None
+    hi_best = None
+    for cell_a in cells_a:
+        for cell_b in cells_b:
+            diff = [IV(a_lo - b_hi, a_hi - b_lo) for (a_lo, a_hi), (b_lo, b_hi) in zip(cell_a, cell_b)]
+            images = []
+            for corner in product(*((v.lo, v.hi) if v.lo != v.hi else (v.lo,) for v in diff)):
+                if rows is None:
+                    images.append([IV.point(x) for x in corner])
+                    continue
+                image = []
+                for i in range(d):
+                    acc = IV.point(0)
+                    for j in range(d):
+                        acc = acc + rows[i][j].scaled(corner[j])
+                    image.append(acc)
+                images.append(image)
+            for axis in range(d):
+                if not (all(im[axis].lo > 0 for im in images) or all(im[axis].hi < 0 for im in images)):
+                    raise DegeneratePair(axis)
+            for image in images:
+                mags = [v.abs() for v in image]
+                for i in range(d):
+                    for j in range(d):
+                        if i == j:
+                            continue
+                        lo = mags[i].lo / mags[j].hi
+                        hi = mags[i].hi / mags[j].lo
+                        lo_best = lo if lo_best is None else min(lo_best, lo)
+                        hi_best = hi if hi_best is None else max(hi_best, hi)
+    return lo_best, hi_best

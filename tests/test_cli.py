@@ -195,3 +195,66 @@ def test_emit_geometry_accepts_bare_trees(tmp_path, thirds20):
     buf = io.StringIO()
     rows = emit_geometry(thirds20.to_json_obj(), "csv-intervals", buf, level=2)
     assert rows == 4
+
+
+@pytest.mark.parametrize("name", ["nondegeneracy_square", "rotate_fix_line"])
+def test_verify_accepts_golden_certificates_and_rejects_tampered_ones(tmp_path, capsys, name):
+    config = next(p for p in SCENARIOS if p.stem == name)
+    run_to(tmp_path, config, "rep.json")
+    report_path = tmp_path / "rep.json"
+    assert main(["verify", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    report["results"]["certificate"]["root"]["children"] = []
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 2
+    assert "root: expected 3 children at level 1" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_duplicated_component(tmp_path, capsys):
+    config = next(p for p in SCENARIOS if p.stem == "nondegeneracy_square")
+    run_to(tmp_path, config, "rep.json")
+    report = json.loads((tmp_path / "rep.json").read_text())
+    cert = report["results"]["certificate"]
+    cert["depth"] = 1
+    root = cert["root"]
+    root["children"] = []
+    root["components"][1] = root["components"][0]
+    for claims in (root["dmin"], root["ratios"]):
+        for key in [k for k in claims if "1" in k.split(",")]:
+            del claims[key]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 2
+    assert "root: dmin keys are not the component pairs" in capsys.readouterr().err
+
+
+def test_verify_needs_a_certificate_in_valid_json(tmp_path, capsys):
+    config = next(p for p in SCENARIOS if p.stem == "companion_thirds")
+    run_to(tmp_path, config, "rep.json")
+    assert main(["verify", str(tmp_path / "rep.json")]) == 1
+    assert "no certificate" in capsys.readouterr().err
+    bad = tmp_path / "bad.json"
+    bad.write_text("{oops")
+    assert main(["verify", str(bad)]) == 1
+    assert "bad JSON" in capsys.readouterr().err
+
+
+def test_kappa_on_one_axis_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "line.json"
+    cfg.write_text(json.dumps({
+        "pipeline": "nondegeneracy",
+        "params": {
+            "geometry": {"factors": [{"kind": "middle-thirds", "depth": 8}]},
+            "max_level": 10,
+            "kappa": 9,
+        },
+    }))
+    out = tmp_path / "line.out.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "kappa needs at least two axes" in err
+    assert not out.exists()

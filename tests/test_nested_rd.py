@@ -237,3 +237,56 @@ def test_dropping_cells_changes_no_separation(square_cert):
 
     with pytest.raises(InvalidCertificate):
         lean.to_json_obj()
+
+
+def kappa_square_obj(depth):
+    geom = ProductGeometry([middle_thirds(8), middle_thirds(8)])
+    rep = build_nested_rep(geom, 2, 11, refine_step=3)
+    return json.loads(und_certificate(rep, kappa=Fraction(9), max_k=2, depth=depth).to_json())
+
+
+def test_a_duplicated_component_without_its_pair_claims_is_rejected():
+    obj = kappa_square_obj(1)
+    root = obj["root"]
+    root["components"][1] = json.loads(json.dumps(root["components"][0]))
+    for claims in (root["dmin"], root["ratios"]):
+        for key in [k for k in claims if "1" in k.split(",")]:
+            del claims[key]
+    ok, problems = verify_certificate(obj)
+    assert not ok
+    assert problems == [
+        "root: dmin keys are not the component pairs (missing ['0,1', '1,2'], unexpected [])",
+        "root: ratios keys are not the component pairs (missing ['0,1', '1,2'], unexpected [])",
+    ]
+
+
+def test_a_pair_claim_for_a_missing_component_is_rejected():
+    obj = kappa_square_obj(1)
+    obj["root"]["dmin"]["2,3"] = obj["root"]["dmin"]["0,1"]
+    ok, problems = verify_certificate(obj)
+    assert not ok
+    assert problems == ["root: dmin keys are not the component pairs (missing [], unexpected ['2,3'])"]
+
+
+def test_children_must_reach_the_declared_depth_and_stop_there():
+    obj = kappa_square_obj(2)
+    assert verify_certificate(obj) == (True, [])
+    pruned = json.loads(json.dumps(obj))
+    pruned["root"]["children"] = []
+    assert verify_certificate(pruned) == (False, ["root: expected 3 children at level 1 of depth 2, found 0"])
+    obj["depth"] = 1
+    assert verify_certificate(obj) == (False, ["root: expected 0 children at level 1 of depth 1, found 3"])
+
+
+def test_malformed_certificate_is_a_problem_not_an_exception():
+    obj = kappa_square_obj(1)
+    del obj["root"]["components"][0]["source_cells"]
+    ok, problems = verify_certificate(obj)
+    assert not ok
+    assert problems == ["malformed certificate: KeyError: 'source_cells'"]
+
+
+def test_kappa_needs_two_axes():
+    rep = build_nested_rep(ProductGeometry([middle_thirds(6)]), 2, 6, refine_step=2)
+    with pytest.raises(ValueError, match="kappa needs at least two axes"):
+        und_certificate(rep, kappa=Fraction(9))
