@@ -760,8 +760,11 @@ def _corner_ratio_scan(cells_a, cells_b, rows, d):
     The pairs (i, j) and (j, i) give reciprocal bounds, so the greatest
     upper bound is the reciprocal of the least lower bound.  The least is
     kept as ``(n, q)`` and compared by cross-multiplying; the ``Fraction``s
-    are built once, at the end.  Returns (None, None) when d < 2.
+    are built once, at the end.  Returns (None, None) when there are no
+    cell pairs; raises ValueError when d < 2, where there is no ratio.
     """
+    if d < 2:
+        raise ValueError("ratio bounds need at least two axes")
     best_n, best_q = 1, 0  # n/q, starting at +infinity
     pairs = list(itertools.permutations(range(d), 2))
     for cell_a in cells_a:
@@ -811,9 +814,18 @@ def _corner_ratio_scan(cells_a, cells_b, rows, d):
                     low, high = image[i][0], image[j][1]
                     if low * best_q < best_n * high:
                         best_n, best_q = low, high
-    if d < 2 or best_q == 0:
+    if best_q == 0:
         return None, None
     return Fraction(best_n, best_q), Fraction(best_q, best_n)
+
+
+def _cell_ratio_bounds(cells_a, cells_b, rows, d):
+    """``_corner_ratio_scan`` over every cell pair of two lists of
+    per-axis ``(lo, hi)`` rational cells (see ``_parse_cells``), through
+    the interval matrix ``rows`` when it is not None; a shift cancels in
+    the differences."""
+    _, (ints_a, ints_b) = _integer_cells((cells_a, cells_b))
+    return _corner_ratio_scan(ints_a, ints_b, None if rows is None else _integer_rows(rows)[1], d)
 
 
 def kappa_ratios(a: Component, b: Component) -> tuple[Fraction, Fraction]:
@@ -831,14 +843,17 @@ def kappa_ratios(a: Component, b: Component) -> tuple[Fraction, Fraction]:
     so the extremes are box arithmetic: with gap_i and span_i the least and
     greatest axis-i distance between the two boxes of unshifted pieces, the
     bounds are min gap_i/span_j and max span_i/gap_j over axes i != j.
+    Raises ValueError on a one-axis geometry, where there is no ratio.
     """
+    geometry = a.rep.geometry
+    d = geometry.dim
+    if d < 2:
+        raise ValueError("ratio bounds need at least two axes")
     sep = d_min(a, b)
     if sep <= 0:
         for axis, (ia, ib) in enumerate(zip(a.bbox, b.bbox)):
             if max(ib.lo - ia.hi, ia.lo - ib.hi, Fraction(0)) <= 0:
                 raise DegeneratePair(axis, f"components overlap along axis {axis}")
-    geometry = a.rep.geometry
-    d = geometry.dim
     if geometry.matrix is None:
         gaps, spans = [], []
         for pieces_a, pieces_b in zip(a.axes, b.axes):
@@ -848,10 +863,10 @@ def kappa_ratios(a: Component, b: Component) -> tuple[Fraction, Fraction]:
             spans.append(max(b_hi - a_lo, a_hi - b_lo))
         pairs = list(itertools.permutations(range(d), 2))
         return (
-            min((gaps[i] / spans[j] for i, j in pairs), default=None),
-            max((spans[i] / gaps[j] for i, j in pairs), default=None),
+            min(gaps[i] / spans[j] for i, j in pairs),
+            max(spans[i] / gaps[j] for i, j in pairs),
         )
-    return _reverify_ratios(
+    return _cell_ratio_bounds(
         [[(lo, hi) for _, lo, hi in cell] for cell in a.cells],
         [[(lo, hi) for _, lo, hi in cell] for cell in b.cells],
         geometry.matrix.rows,
@@ -1135,7 +1150,8 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     numerators over one denominator once, for both the boxes and the
     scan.  No geometry objects from this package are rebuilt, so agreement
     is a genuine second opinion on the arithmetic.  Data that does not
-    parse is reported as a problem, not raised.
+    parse is reported as a problem, not raised; so is a cell axis with
+    lo > hi, and a cell, shift or matrix without ``dim`` axes.
     """
     if not isinstance(obj, dict) or obj.get("kind") != "und-certificate":
         return False, ["not a certificate object"]
@@ -1157,11 +1173,16 @@ def _check_certificate(obj: dict, problems: list[str]):
         kappa = None
     rows, row_den = None, 1
     if obj.get("matrix") is not None:
+        matrix = obj["matrix"]["rows"]
+        if len(matrix) != dim or any(len(row) != dim for row in matrix):
+            raise ValueError(f"the matrix is not {dim} by {dim}")
         row_den, rows = _integer_rows(
-            [[IV(rat_from_pair(e[0]), rat_from_pair(e[1])) for e in row] for row in obj["matrix"]["rows"]]
+            [[IV(rat_from_pair(e[0]), rat_from_pair(e[1])) for e in row] for row in matrix]
         )
     if obj.get("shift") is not None:
         shift = [IV(rat_from_pair(s[0]), rat_from_pair(s[1])) for s in obj["shift"]]
+        if len(shift) != dim:
+            raise ValueError(f"the shift has {len(shift)} axes, expected {dim}")
     else:
         shift = [IV.point(0)] * dim
     pair_keys = {f"{i},{j}": (i, j) for i, j in itertools.combinations(range(dim + 1), 2)}
@@ -1198,7 +1219,7 @@ def _check_certificate(obj: dict, problems: list[str]):
         if len(comps) != dim + 1:
             problems.append(f"{path}: expected {dim + 1} components, found {len(comps)}")
             return
-        den, cells = _integer_cells([_parse_cells(comp["source_cells"]) for comp in comps])
+        den, cells = _integer_cells([_parse_cells(comp["source_cells"], dim) for comp in comps])
         hulls = [image_hull(c, den) for c in cells]
         for idx, (comp, hull) in enumerate(zip(comps, hulls)):
             claimed = [(rat_from_pair(v[0]), rat_from_pair(v[1])) for v in comp["bbox"]]
@@ -1265,18 +1286,19 @@ def _check_certificate(obj: dict, problems: list[str]):
     check_node(obj["root"], "root", None, 1)
 
 
-def _parse_cells(source_cells) -> list[list[tuple[Fraction, Fraction]]]:
-    """Exported ``source_cells`` as per-axis ``(lo, hi)`` rationals."""
-    return [[(rat_from_pair(lo), rat_from_pair(hi)) for lo, hi in cell] for cell in source_cells]
+def _parse_cells(source_cells, dim: int | None = None) -> list[list[tuple[Fraction, Fraction]]]:
+    """Exported ``source_cells`` as per-axis ``(lo, hi)`` rationals.
 
-
-def _reverify_ratios(cells_a, cells_b, rows, dim):
-    """``_corner_ratio_scan`` over every cell pair of two lists of
-    per-axis ``(lo, hi)`` rational cells (see ``_parse_cells``), through
-    the interval matrix ``rows`` when it is not None; the shift cancels in
-    the differences."""
-    _, (ints_a, ints_b) = _integer_cells((cells_a, cells_b))
-    return _corner_ratio_scan(ints_a, ints_b, None if rows is None else _integer_rows(rows)[1], dim)
+    Raises ValueError on an axis with lo > hi, or on a cell without
+    ``dim`` axes when ``dim`` is given: the integer scans build no
+    intervals that would refuse either."""
+    cells = [[(rat_from_pair(lo), rat_from_pair(hi)) for lo, hi in cell] for cell in source_cells]
+    for cell in cells:
+        if dim is not None and len(cell) != dim:
+            raise ValueError(f"a source cell has {len(cell)} axes, expected {dim}")
+        if any(lo > hi for lo, hi in cell):
+            raise ValueError("a source cell has lo > hi")
+    return cells
 
 
 # ---------------------------------------------------------------------------

@@ -277,13 +277,16 @@ def reference_corner_ratio_scan(cells_a, cells_b, rows, d):
     sum of the entries scaled by the corner.  A cell pair must keep one
     strict sign on every axis at all of its corners, else
     ``DegeneratePair``; then every ordered axis pair gives its own lower
-    and upper bound at every corner, divided out in ``Fraction``s.
-    ``nested_rd._reverify_ratios`` must return the same pair, or raise on
+    and upper bound at every corner, divided out in ``Fraction``s.  One
+    axis has no ratio and raises ValueError.
+    ``nested_rd._cell_ratio_bounds`` must return the same pair, or raise on
     the same input.
     """
     from cantorforge.dyadic import IV
     from cantorforge.nested_rd import DegeneratePair
 
+    if d < 2:
+        raise ValueError("ratio bounds need at least two axes")
     lo_best = None
     hi_best = None
     for cell_a in cells_a:

@@ -290,3 +290,35 @@ def test_kappa_needs_two_axes():
     rep = build_nested_rep(ProductGeometry([middle_thirds(6)]), 2, 6, refine_step=2)
     with pytest.raises(ValueError, match="kappa needs at least two axes"):
         und_certificate(rep, kappa=Fraction(9))
+    a, b = components_at(rep, 1)[:2]
+    with pytest.raises(ValueError, match="ratio bounds need at least two axes"):
+        kappa_ratios(a, b)
+
+
+def test_an_inverted_source_cell_is_rejected():
+    # An extra cell with lo > hi on axis 0 leaves component 0's hull as it
+    # is, but its difference with a cell of component 1 or 2 runs from a
+    # positive to a negative end.  A corner scan that took it would return
+    # negative ratios, and ratio claims lowered below them would pass.
+    obj = kappa_square_obj(1)
+    root = obj["root"]
+    root["components"][0]["source_cells"].append([[[1, 1], [0, 1]], [[0, 1], [1, 81]]])
+    root["ratios"]["0,1"] = [[-2, 1], [1, 1]]
+    root["ratios"]["0,2"] = [[-2, 1], [1, 1]]
+    assert verify_certificate(obj) == (False, ["malformed certificate: ValueError: a source cell has lo > hi"])
+
+
+def test_source_cells_matrix_and_shift_must_have_every_axis():
+    obj = kappa_square_obj(1)
+    root = obj["root"]
+    root["components"][0]["source_cells"].append([[[0, 1], [1, 81]]])
+    assert verify_certificate(obj) == (
+        False,
+        ["malformed certificate: ValueError: a source cell has 1 axes, expected 2"],
+    )
+    root["components"][0]["source_cells"].pop()
+    obj["shift"] = [[[3, 1], [3, 1]]]
+    assert verify_certificate(obj) == (False, ["malformed certificate: ValueError: the shift has 1 axes, expected 2"])
+    del obj["shift"]
+    obj["matrix"] = {"rows": [[[[1, 1], [1, 1]]], [[[0, 1], [0, 1]], [[1, 1], [1, 1]]]]}
+    assert verify_certificate(obj) == (False, ["malformed certificate: ValueError: the matrix is not 2 by 2"])

@@ -21,8 +21,8 @@ from cantorforge.nested_rd import (
     DegeneratePair,
     ProductGeometry,
     RotationMatrix,
+    _cell_ratio_bounds,
     _parse_cells,
-    _reverify_ratios,
     build_nested_rep,
     components_at,
     d_min,
@@ -122,4 +122,4 @@ def test_box_gap_ratios_match_a_corner_scan(case):
                 raise AssertionError("an overlapping pair passed the ratio test")
             cells_a = _parse_cells(json.loads(json.dumps(a.to_json_obj(with_cubes=False)))["source_cells"])
             cells_b = _parse_cells(json.loads(json.dumps(b.to_json_obj(with_cubes=False)))["source_cells"])
-            assert kappa_ratios(a, b) == _reverify_ratios(cells_a, cells_b, None, geom.dim)
+            assert kappa_ratios(a, b) == _cell_ratio_bounds(cells_a, cells_b, None, geom.dim)

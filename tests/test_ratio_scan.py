@@ -1,10 +1,11 @@
 """The integer corner scan against the Fraction/IV reference.
 
-``nested_rd._reverify_ratios`` puts cell endpoints and matrix entries over
+``nested_rd._cell_ratio_bounds`` puts cell endpoints and matrix entries over
 two common denominators and scans corners on their integer numerators.
 ``oracles.reference_corner_ratio_scan`` scans the same corners with
 ``IV`` products and ``Fraction`` divisions.  Both must give the same ratio
-bounds, or both must find a cell pair whose signs are not pinned.
+bounds, or both must find a cell pair whose signs are not pinned, or
+both must refuse a one-axis scan.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from cantorforge.dyadic import IV
-from cantorforge.nested_rd import DegeneratePair, RotationMatrix, _reverify_ratios
+from cantorforge.nested_rd import DegeneratePair, RotationMatrix, _cell_ratio_bounds
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=6)
 entries = st.one_of(st.just(Fraction(0)), small)
@@ -61,6 +62,8 @@ def outcome(scan, *case):
         return scan(*case)
     except DegeneratePair:
         return "degenerate"
+    except ValueError:
+        return "one axis"
 
 
 half = Fraction(1, 2)
@@ -76,11 +79,11 @@ half = Fraction(1, 2)
 # a point factor and a map with negative and zero entries
 @example(([[(half, half), (0, 1)]], [[(3, 3), (-4, -3)]], ((IV.point(-1), IV.point(0)), (IV.point(2), IV.point(1))), 2))
 def test_integer_scan_matches_the_reference(case):
-    assert outcome(_reverify_ratios, *case) == outcome(oracles.reference_corner_ratio_scan, *case)
+    assert outcome(_cell_ratio_bounds, *case) == outcome(oracles.reference_corner_ratio_scan, *case)
 
 
 def test_a_difference_that_crosses_zero_is_degenerate():
     # |delta_1| / |delta_0| is unbounded once delta_0 runs over [-1, 2]
     with pytest.raises(DegeneratePair) as exc:
-        _reverify_ratios([[(0, 2), (3, 3)]], [[(0, 1), (2, 2)]], None, 2)
+        _cell_ratio_bounds([[(0, 2), (3, 3)]], [[(0, 1), (2, 2)]], None, 2)
     assert exc.value.axis == 0
