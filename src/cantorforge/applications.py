@@ -387,7 +387,6 @@ def nonlinear_companion(
     depth: int | None = None,
     shrink=Fraction(1, 2),
     pad=None,
-    anchor="gap-right",
     bits=None,
 ) -> SymmetricGapTree:
     """Symmetric companion sized for every slice image of k1 on the boxes.
@@ -395,9 +394,8 @@ def nonlinear_companion(
     Stage-n gaps are shrink * eta * (stage-n min gap of k1), capped at
     feasibility, so any single slice image dominates the companion no
     matter which (lam, c) in the boxes produced it.  The hull is the
-    certified image range padded on both sides.  The anchor is a recorded
-    base point (default: right endpoint of the root gap) kept in the
-    returned tree's meta dict along with eta and the padding.
+    certified image range padded on both sides, by ``pad`` (default: 1/64
+    of the range plus 2**-40).
     """
     bits = precision_bits(bits)
     depth = k1.depth if depth is None else depth
@@ -427,23 +425,7 @@ def nonlinear_companion(
         g = want if want < cap else cap
         gaps.append(g)
         length = (length - g) / 2
-    tree = SymmetricGapTree(hull, tuple(gaps))
-    if anchor == "gap-right":
-        anchor_pt = k1.gap("").hi
-    else:
-        anchor_pt = as_rat(anchor)
-    mid_lam = lam_box.midpoint()
-    mid_c = c_box.midpoint()
-    a_img = spec.slice_point(mid_lam, mid_c, anchor_pt, bits)
-    tree.meta = {
-        "eta": data.lower,
-        "upper": data.upper,
-        "decreasing": data.decreasing,
-        "pad": pad,
-        "anchor": anchor_pt,
-        "anchor_image": (a_img.lo, a_img.hi),
-    }
-    return tree
+    return SymmetricGapTree(hull, tuple(gaps))
 
 
 @dataclass(frozen=True)

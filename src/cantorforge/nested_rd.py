@@ -327,13 +327,26 @@ class ProductGeometry:
         return split_explicit
 
     def refine_cells(self, cells, target: Fraction) -> list[tuple]:
-        """Split cells until every tree factor's interval is <= target wide."""
-        for j in range(self.dim):
-            split = self.part_splitter(j, target)
-            cells = [
-                cell[:j] + (part,) + cell[j + 1:] for cell in cells for part in split(cell[j])
-            ]
-        return cells
+        """Split cells until every tree factor's interval is <= target wide.
+
+        The cells of a component share pieces, so each distinct piece is
+        split once per axis, keyed by its address (a point factor has the
+        single address None).  A cell's refinement is the product of its
+        pieces' splits: cell by cell, then by position on axis 0, axis 1,
+        and so on, the order a factor-after-factor split gives.
+        """
+        splitters = [self.part_splitter(j, target) for j in range(self.dim)]
+        splits = [{} for _ in range(self.dim)]
+        out = []
+        for cell in cells:
+            per_axis = []
+            for split, seen, part in zip(splitters, splits, cell):
+                pieces = seen.get(part[0])
+                if pieces is None:
+                    pieces = seen[part[0]] = split(part)
+                per_axis.append(pieces)
+            out.extend(itertools.product(*per_axis))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +500,7 @@ class NestedRep:
         if geometry.matrix is None:
             root, _ = self._product_components(tuple(((part, ()),) for part in top), m0, "r")
         else:
-            root = self._cover_components([top], m0, "r")
+            root, _ = self._cover_components([top], m0, "r")
         self.root_components = root
 
     @property
@@ -499,8 +512,7 @@ class NestedRep:
         diameter among them."""
         if self.geometry.matrix is None:
             return self._product_components(comp.axes, m, comp.path)
-        children = self._cover_components(comp.cells, m, comp.path)
-        return children, max(c.diam_sq() for c in children)
+        return self._cover_components(comp.cells, m, comp.path)
 
     def _product_components(self, axes, m: int, parent_path: str) -> tuple[list[Component], Fraction]:
         """Cover of a product component, axis by axis.
@@ -556,55 +568,63 @@ class NestedRep:
             return Interval(round_down(lo + shift.lo, self.bits), round_up(hi + shift.hi, self.bits))
         return Interval(lo, hi)
 
-    def _cover_components(self, cells, m: int, parent_path: str) -> list[Component]:
-        """Cover of a mapped component: cell image boxes and a union-find.
+    def _cover_components(self, cells, m: int, parent_path: str) -> tuple[list[Component], Fraction]:
+        """Cover of a mapped component, and the largest squared diameter
+        among its components: cell image boxes and a union-find.
 
         A linear map sends a product cell P_0 x ... x P_{d-1} to
         shift + sum_j col_j(M) * P_j, and the interval column col_j(M) * P_j
         depends only on the axis j and the piece P_j.  So each column is
         computed once per piece, keyed by its address (a point factor has
         the single address None), and a cell's image box is a sum of
-        columns.  The columns and the shift are held as integer numerators
-        over one common denominator D, the lcm of all their denominators:
-        a cell's box is then a sum of ints, its cube range two floor
-        divisions, and a component's bounding box becomes a ``Fraction``
-        over D and is rounded outward once per axis.  All of it is exact,
-        so the boxes are those of ``ProductGeometry.cell_image_box``.
+        columns.  All of it runs on ints: the pieces of axis j are numerators
+        over a denominator of their own, the matrix entries over another
+        (``_integer_rows``), so M_ij * P_j is the min and max of four int
+        products, scaled with the shift to one common denominator D.  A
+        cell's box is then a sum of ints, its cube range two floor
+        divisions, and a component's bounding box is snapped outward to
+        2**-bits by one floor division per end.  All of it is exact, so the
+        boxes are those of ``ProductGeometry.cell_image_box``, snapped.
         """
-        target = Fraction(1, 1 << m)
         geometry = self.geometry
-        refined = geometry.refine_cells(list(cells), target)
+        refined = geometry.refine_cells(list(cells), Fraction(1, 1 << m))
         if not refined:
             raise EmptyGeometry("no cells to cover")
-        scale = 1 << m
         d = geometry.dim
-        rows = geometry.matrix.rows
-        # Per axis j: piece address -> the products M_ij * P_j over i.
-        columns = [{} for _ in range(d)]
+        # Per axis j: piece address -> (lo, hi) of the piece.
+        pieces = [{} for _ in range(d)]
         for cell in refined:
-            for j, (addr, lo, hi) in enumerate(cell):
-                if addr not in columns[j]:
-                    piece = IV(lo, hi)
-                    columns[j][addr] = [rows[i][j] * piece for i in range(d)]
-        ivs = [*geometry.shift, *(v for table in columns for col in table.values() for v in col)]
-        den = math.lcm(*(end.denominator for v in ivs for end in (v.lo, v.hi)))
-
-        def numerators(ivs):
-            """Flat (lo_0, hi_0, lo_1, hi_1, ...) numerators over den."""
-            return tuple(_over(end, den) for v in ivs for end in (v.lo, v.hi))
-
-        offset = numerators(geometry.shift)
-        for table in columns:
-            for addr, col in table.items():
-                table[addr] = numerators(col)
+            for table, (addr, lo, hi) in zip(pieces, cell):
+                if addr not in table:
+                    table[addr] = (lo, hi)
+        row_den, rows = _integer_rows(geometry.matrix.rows)
+        piece_dens = [math.lcm(*(end.denominator for ends in table.values() for end in ends)) for table in pieces]
+        shift = [end for s in geometry.shift for end in (s.lo, s.hi)]
+        den = math.lcm(*(row_den * piece_den for piece_den in piece_dens), *(end.denominator for end in shift))
+        offset = tuple(_over(end, den) for end in shift)
+        # Per axis j: piece address -> the flat numerators over den of the
+        # products M_ij * P_j, (lo_0, hi_0, lo_1, hi_1, ...).
+        columns = []
+        for j, (table, piece_den) in enumerate(zip(pieces, piece_dens)):
+            scale = den // (row_den * piece_den)
+            column = {}
+            for addr, (lo, hi) in table.items():
+                x_lo, x_hi = _over(lo, piece_den), _over(hi, piece_den)
+                ends = []
+                for row in rows:
+                    m_lo, m_hi = row[j]
+                    products = (m_lo * x_lo, m_lo * x_hi, m_hi * x_lo, m_hi * x_hi)
+                    ends += (min(products) * scale, max(products) * scale)
+                column[addr] = tuple(ends)
+            columns.append(column)
         boxes = [
-            tuple(map(sum, zip(offset, *(table[part[0]] for table, part in zip(columns, cell)))))
+            tuple(map(sum, zip(offset, *(column[part[0]] for column, part in zip(columns, cell)))))
             for cell in refined
         ]
-        # Closed cubes of side 1/scale meeting [lo, hi]: ceil(lo*scale - 1)
-        # and floor(hi*scale), as in _cube_range.
+        # Closed cubes of side 2**-m meeting [lo, hi]: ceil(lo*2**m - 1)
+        # and floor(hi*2**m), as in _cube_range.
         rects = [
-            tuple((-((den - box[k] * scale) // den), (box[k + 1] * scale) // den) for k in range(0, 2 * d, 2))
+            tuple((-((den - (box[k] << m)) // den), (box[k + 1] << m) // den) for k in range(0, 2 * d, 2))
             for box in boxes
         ]
 
@@ -622,11 +642,6 @@ class NestedRep:
                 i = parent[i]
             return i
 
-        def union(i: int, j: int):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-
         order = sorted(range(n), key=lambda i: rects[i][0][0])
         for pos, i in enumerate(order):
             ri = rects[i]
@@ -635,37 +650,45 @@ class NestedRep:
                 rj = rects[j]
                 if rj[0][0] > reach:
                     break
-                if all(
-                    rj[axis][0] <= ri[axis][1] + 1 and ri[axis][0] <= rj[axis][1] + 1
-                    for axis in range(1, d)
-                ):
-                    union(i, j)
+                for axis in range(1, d):
+                    if rj[axis][0] > ri[axis][1] + 1 or ri[axis][0] > rj[axis][1] + 1:
+                        break
+                else:
+                    root_i, root_j = find(i), find(j)
+                    if root_i != root_j:
+                        parent[root_j] = root_i
 
         groups: dict[int, list[int]] = {}
         for i in range(n):
             groups.setdefault(find(i), []).append(i)
+        bits = self.bits
+        unit = 1 << bits
         comps = []
+        widest = 0
         for members in groups.values():
-            bbox = tuple(
-                Interval(
-                    round_down(Fraction(min(boxes[i][k] for i in members), den), self.bits),
-                    round_up(Fraction(max(boxes[i][k + 1] for i in members), den), self.bits),
+            # Outward snap: floor(lo * 2**bits) and ceil(hi * 2**bits) over den.
+            ends = [
+                (
+                    (min(boxes[i][k] for i in members) << bits) // den,
+                    -((-max(boxes[i][k + 1] for i in members) << bits) // den),
                 )
                 for k in range(0, 2 * d, 2)
-            )
+            ]
+            widest = max(widest, sum((hi - lo) ** 2 for lo, hi in ends))
             comps.append(
                 (
                     tuple(min(rects[i][axis][0] for i in members) for axis in range(d)),
                     tuple(refined[i] for i in members),
                     tuple(sorted({rects[i] for i in members})),
-                    bbox,
+                    tuple(Interval(Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in ends),
                 )
             )
         comps.sort(key=lambda item: item[0])
-        return [
-            Component(self, m, bbox_, f"{parent_path}.{idx}", cells=cells_, rects=rects_)
-            for idx, (_, cells_, rects_, bbox_) in enumerate(comps)
+        children = [
+            Component(self, m, bbox, f"{parent_path}.{idx}", cells=cells_, rects=rects_)
+            for idx, (_, cells_, rects_, bbox) in enumerate(comps)
         ]
+        return children, Fraction(widest, unit * unit)
 
 
 def build_nested_rep(

@@ -219,20 +219,51 @@ def reference_find_chain(k, kt, levels):
 # ---------------------------------------------------------------------------
 # mapped covers
 
+def reference_refine_cells(geometry, cells, target):
+    """Cells split factor after factor, one cell at a time.
+
+    For each axis in turn every cell is replaced by the pieces of its part
+    on that axis, left to right.  A tree part is split by ``interval`` on
+    the two child addresses while it is wider than ``target`` and above
+    the tree's depth; a point factor stays.  No splitter of the library
+    and no shared split per piece: ``ProductGeometry.refine_cells`` must
+    return the same cells in the same order.
+    """
+    from cantorforge.cantor1d import GapTree
+
+    def pieces(tree, part):
+        addr, lo, hi = part
+        if hi - lo <= target or len(addr) >= tree.depth:
+            return [part]
+        out = []
+        for child in (addr + "0", addr + "1"):
+            iv = tree.interval(child)
+            out.extend(pieces(tree, (child, iv.lo, iv.hi)))
+        return out
+
+    cells = list(cells)
+    for j, factor in enumerate(geometry.factors):
+        if not isinstance(factor, GapTree):
+            continue
+        cells = [cell[:j] + (part,) + cell[j + 1:] for cell in cells for part in pieces(factor, cell[j])]
+    return cells
+
+
 def reference_cover_components(geometry, cells, m, parent_path, bits):
     """The mapped cover one cell at a time, as (path, cells, rects, bbox).
 
-    Every refined cell gets its own ``ProductGeometry.cell_image_box``, its
-    cube range comes from ``math.ceil``/``math.floor`` on ``Fraction``s, and
-    two cells are joined when their ranges come within one cube on every
-    axis, tested over all pairs.  Components are ordered by their least
-    cube index per axis, ties by their first cell, and their bounding boxes
-    are snapped outward to ``2**-bits``.  ``NestedRep._cover_components``
-    must give the same paths, cells, rects and boxes.
+    Cells are refined by ``reference_refine_cells``.  Every refined cell
+    gets its own ``ProductGeometry.cell_image_box``, its cube range comes
+    from ``math.ceil``/``math.floor`` on ``Fraction``s, and two cells are
+    joined when their ranges come within one cube on every axis, tested
+    over all pairs.  Components are ordered by their least cube index per
+    axis, ties by their first cell, and their bounding boxes are snapped
+    outward to ``2**-bits``.  ``NestedRep._cover_components`` must give
+    the same paths, cells, rects and boxes.
     """
     import math
 
-    refined = geometry.refine_cells(list(cells), Fraction(1, 1 << m))
+    refined = reference_refine_cells(geometry, cells, Fraction(1, 1 << m))
     scale = 1 << m
     unit = 1 << bits
     boxes = [tuple((v.lo, v.hi) for v in geometry.cell_image_box(cell)) for cell in refined]

@@ -258,3 +258,17 @@ def test_kappa_on_one_axis_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
     assert "kappa needs at least two axes" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bits", [1, 2, 4096])
+@pytest.mark.parametrize("config", SCENARIOS, ids=lambda p: p.stem)
+def test_every_scenario_ends_cleanly_at_extreme_precision(tmp_path, capsys, config, bits):
+    out = tmp_path / "rep.json"
+    code = main(["run", str(config), "--out", str(out), "--precision-bits", str(bits)])
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert code in (0, 1, 2)
+    if code != 1:
+        report = json.loads(out.read_text())
+        assert report["precision_bits"] == bits
+        assert report["status"] == ("ok" if code == 0 else "failed")
