@@ -1,8 +1,7 @@
 """Verified companion constructions for thin Cantor-like sets.
 
 Everything certified runs on exact rationals with directed outward
-rounding where roots are unavoidable; floats appear only in the numeric
-slice solver, which is clearly fenced off.  See the README for a tour.
+rounding where roots are unavoidable.  See the README for a tour.
 """
 
 from .cantor1d import (
@@ -86,14 +85,10 @@ from .applications import (
     HSpec,
     InteriorReport,
     MonotoneImageTree,
-    NoBracket,
-    NoConvergence,
     ObstructionReport,
     SignNotDefinite,
-    SliceResult,
     derivative_bound,
     erdos_obstruction,
-    implicit_slice,
     nonlinear_companion,
     pinned_distance_demo,
     verify_H_interior,

@@ -8,14 +8,10 @@ containment machinery applies verbatim to the curved image.  That is the
 whole trick behind the pinned-distance demo; the obstruction demo works in
 the other direction, tiling a window with translated companions and
 pinning every admissible affine copy of the base set to the tile grid.
-
-Floating point appears in exactly one place, the numeric slice solver,
-and nothing certified depends on it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +39,6 @@ from .dyadic import IV, iv_pow, pow_bounds, precision_bits
 
 __all__ = [
     "HSpec",
-    "SliceResult",
     "SliceDerivative",
     "MonotoneImageTree",
     "InteriorPoint",
@@ -52,27 +47,14 @@ __all__ = [
     "ObstructionSet",
     "MapRecord",
     "ObstructionReport",
-    "NoBracket",
-    "NoConvergence",
     "SignNotDefinite",
     "FamilyOutOfSlack",
-    "implicit_slice",
     "derivative_bound",
     "nonlinear_companion",
     "verify_H_interior",
     "pinned_distance_demo",
     "erdos_obstruction",
 ]
-
-
-class NoBracket(CantorForgeError):
-    pass
-
-
-class NoConvergence(CantorForgeError):
-    def __init__(self, iterations: int):
-        self.iterations = iterations
-        super().__init__(f"slice solver did not converge within {iterations} iterations")
 
 
 class SignNotDefinite(CantorForgeError):
@@ -90,7 +72,7 @@ class FamilyOutOfSlack(CantorForgeError):
         )
 
 
-_FAMILIES = ("affine-sum", "alpha-norm", "custom-1d")
+_FAMILIES = ("affine-sum", "alpha-norm")
 
 
 @dataclass(frozen=True)
@@ -98,55 +80,24 @@ class HSpec:
     """A two-variable relation family plus the boxes it is studied on.
 
     lam_box is the parameter range (the slope for affine-sum, the exponent
-    for alpha-norm), x_box/y_box the coordinate boxes.  Custom relations
-    supply float callables h(lam, x, y) and hy(lam, x, y) and only the
-    numeric solver accepts them; certified operations need one of the
-    built-in families.
+    for alpha-norm), x_box the coordinate box.
     """
 
     family: str
     lam_box: Interval
     x_box: Interval
-    y_box: Interval | None = None
-    h: object = None
-    hy: object = None
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {_FAMILIES}")
-        if self.family == "custom-1d" and (self.h is None or self.hy is None):
-            raise ValueError("custom-1d needs h and hy callables")
         if self.family == "alpha-norm":
             if self.lam_box.lo != self.lam_box.hi:
                 raise ValueError("alpha-norm takes a single exponent, not a range")
             if self.lam_box.lo <= 1:
                 raise ValueError("alpha-norm exponent must exceed 1")
 
-    # -- float side, used by the numeric solver only ---------------------
-
-    def value_float(self, lam: float, x: float, y: float) -> float:
-        if self.family == "affine-sum":
-            return lam * x + y
-        if self.family == "alpha-norm":
-            return x**lam + y**lam
-        return self.h(lam, x, y)
-
-    def dy_float(self, lam: float, x: float, y: float) -> float:
-        if self.family == "affine-sum":
-            return 1.0
-        if self.family == "alpha-norm":
-            return lam * y ** (lam - 1.0)
-        return self.hy(lam, x, y)
-
-    # -- certified side ---------------------------------------------------
-
-    def _require_builtin(self):
-        if self.family == "custom-1d":
-            raise ValueError("custom-1d relations support numeric slicing only")
-
     def slice_enclosure(self, lam_iv: IV, c_iv: IV, x_iv: IV, bits: int) -> IV:
         """Enclosure of g(x) = the y solving H = c, over boxes of inputs."""
-        self._require_builtin()
         if self.family == "affine-sum":
             return c_iv - lam_iv * x_iv
         alpha = self.lam_box.lo
@@ -160,77 +111,12 @@ class HSpec:
 
     def residual_enclosure(self, lam, c, x, y, bits: int) -> IV:
         """Enclosure of H(lam, x, y) - c at rational arguments."""
-        self._require_builtin()
         if self.family == "affine-sum":
             return IV.point(lam * x + y - c)
         alpha = self.lam_box.lo
         xa = pow_bounds(x, alpha, bits)
         ya = pow_bounds(y, alpha, bits)
         return IV(xa[0] + ya[0] - c, xa[1] + ya[1] - c)
-
-
-@dataclass(frozen=True)
-class SliceResult:
-    y: float
-    residual: float
-    iterations: int
-
-
-def implicit_slice(
-    spec: HSpec,
-    lam,
-    c,
-    x,
-    bracket=None,
-    tol: float = 1e-12,
-    max_iters: int = 200,
-) -> SliceResult:
-    """Solve H(lam, x, y) = c for y numerically.
-
-    Damped Newton inside a sign-change bracket, falling back to bisection
-    whenever the Newton step misbehaves.  Raises NoBracket if the bracket
-    endpoints do not straddle a root and NoConvergence past max_iters.
-    This is the only float path in the package; use it for exploration,
-    not certification.
-    """
-    lam_f, c_f, x_f = float(lam), float(c), float(x)
-    if bracket is None:
-        if spec.y_box is None:
-            raise NoBracket("no bracket given and the relation has no y box")
-        a, b = float(spec.y_box.lo), float(spec.y_box.hi)
-    else:
-        a, b = float(bracket[0]), float(bracket[1])
-    if a > b:
-        a, b = b, a
-
-    def f(y):
-        return spec.value_float(lam_f, x_f, y) - c_f
-
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return SliceResult(a, 0.0, 0)
-    if fb == 0.0:
-        return SliceResult(b, 0.0, 0)
-    if fa * fb > 0.0:
-        raise NoBracket(f"no sign change on [{a}, {b}]")
-    y = 0.5 * (a + b)
-    for it in range(1, max_iters + 1):
-        fy = f(y)
-        if abs(fy) <= tol:
-            return SliceResult(y, fy, it)
-        if fa * fy < 0.0:
-            b, fb = y, fy
-        else:
-            a, fa = y, fy
-        dy = spec.dy_float(lam_f, x_f, y)
-        step_ok = dy != 0.0 and math.isfinite(dy)
-        if step_ok:
-            cand = y - fy / dy
-            step_ok = a < cand < b
-        y = cand if step_ok else 0.5 * (a + b)
-        if b - a <= tol * max(1.0, abs(y)):
-            return SliceResult(y, f(y), it)
-    raise NoConvergence(max_iters)
 
 
 @dataclass(frozen=True)
@@ -246,7 +132,6 @@ class SliceDerivative:
 def _slice_derivative_data(
     spec: HSpec, lam_box: Interval, c_box: Interval, x_box: Interval, bits: int
 ) -> SliceDerivative:
-    spec._require_builtin()
     if spec.family == "affine-sum":
         if lam_box.lo <= 0 <= lam_box.hi:
             raise SignNotDefinite("slope range contains zero")
@@ -287,8 +172,8 @@ class MonotoneImageTree(GapTree):
     Intervals are mapped lazily and outward; for a decreasing slice the
     address bits flip so that lexicographic order still means left to
     right.  Per-level gap bounds come from the certified derivative range
-    rather than from the (outward, hence overstated) mapped endpoints,
-    which is why gap_bounds_certified_only is true here.
+    rather than from the (outward, hence overstated) mapped endpoints, so
+    they are one-sided certified bounds, not exact values.
 
     ``split_interval`` splits the base node and maps its two children
     outward, so it returns exactly ``interval(addr + "0")`` and
@@ -366,17 +251,11 @@ class MonotoneImageTree(GapTree):
             lo = hi = mid
         return Interval(lo, hi)
 
-    def gap_bounds_certified_only(self) -> bool:
-        return True
-
     def level_min_gap(self, n: int) -> Fraction:
         return self.data.lower * self.base.level_min_gap(n)
 
     def level_max_gap(self, n: int) -> Fraction:
         return self.data.upper * self.base.level_max_gap(n)
-
-    def level_max_length(self, n: int) -> Fraction:
-        return self.data.upper * self.base.level_max_length(n)
 
 
 def nonlinear_companion(
@@ -494,7 +373,6 @@ def verify_H_interior(
     levels: int,
     tol,
     bits=None,
-    threads: int = 1,
 ) -> InteriorReport:
     """Chain every (c, lam) grid point through the slice image of k1 into k2.
 
@@ -503,8 +381,7 @@ def verify_H_interior(
     check, chain, and an exact-rational residual at the pinned witness
     pair.  A point passes when the chain lands and the residual is at most
     tol.  certified_c is the longest contiguous run of c values whose every
-    lam row passed, None if there is none.  ``threads`` is accepted and
-    ignored; the grid runs serially.
+    lam row passed, None if there is none.
     """
     bits = precision_bits(bits)
     tol = as_rat(tol)
@@ -618,7 +495,6 @@ def pinned_distance_demo(
     grid: int = 101,
     tol=Fraction(1, 10**8),
     bits=None,
-    threads: int = 1,
 ) -> DistanceDemoReport:
     """Certify an interval of distances pinned at the origin.
 
@@ -629,7 +505,6 @@ def pinned_distance_demo(
     c values becomes an interval of achieved distances.  alpha must exceed
     1: at alpha = 1 the slice derivative degenerates to -1 everywhere and
     the distance reading breaks down at the axes, so it is rejected.
-    ``threads`` is accepted and ignored.
     """
     alpha = as_rat(alpha)
     if alpha <= 1:
@@ -737,7 +612,6 @@ def erdos_obstruction(
     levels: int,
     margin=Fraction(1, 10),
     factor=Fraction(1, 2),
-    threads: int = 1,
 ) -> ObstructionReport:
     """One bounded set meeting every in-slack affine copy of k in a window.
 
@@ -747,8 +621,7 @@ def erdos_obstruction(
     < slack, some translate admits a containment chain against the moved
     tree, pinning an intersection point.  Maps outside the slack bounds
     and maps whose image escapes the window are both rejected upfront
-    with FamilyOutOfSlack.  ``threads`` is accepted and ignored; the maps
-    run serially.
+    with FamilyOutOfSlack.
     """
     family = [(as_rat(l), as_rat(t)) for l, t in family]
     khat = build_companion(k, levels, margin=margin, factor=factor)

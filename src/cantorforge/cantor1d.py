@@ -145,14 +145,6 @@ class GapTree:
     def level_max_gap(self, n: int) -> Fraction:
         return max(g.length for g in self.level_gaps(n))
 
-    def level_max_length(self, n: int) -> Fraction:
-        return max(iv.length for iv in self.level_intervals(n))
-
-    def gap_bounds_certified_only(self) -> bool:
-        """True when level_min_gap/level_max_gap return one-sided certified
-        bounds rather than exact values (see the monotone image trees)."""
-        return False
-
     def split_interval(self, addr: str, lo: Fraction, hi: Fraction):
         """Children of the node interval [lo, hi], without re-walking the tree.
 
@@ -274,11 +266,6 @@ class SymmetricGapTree(GapTree):
         return self.gap_lengths[n]
 
     level_max_gap = level_min_gap
-
-    def level_max_length(self, n: int) -> Fraction:
-        if not 0 <= n <= self.depth:
-            raise LevelOutOfRange(n, self.depth)
-        return self.level_lengths[n]
 
     def split_interval(self, addr: str, lo: Fraction, hi: Fraction):
         n = len(addr)

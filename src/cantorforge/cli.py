@@ -447,7 +447,9 @@ _HANDLERS = {
 def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False, bits=None):
     """Execute one scenario; returns (report dict, exit code).
 
-    ``threads`` is accepted and ignored; every map runs serially.
+    ``threads`` is accepted and ignored; every map runs serially.  The
+    precision is ``bits``, else the config's ``precision_bits``, else the
+    ``CANTOR_FORGE_PRECISION_BITS`` environment variable, else 64.
     """
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -466,30 +468,26 @@ def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False,
         raise ConfigError("params", "must be an object")
     eff_seed = seed if seed is not None else int(config.get("seed", 0))
     # Checked before the pipeline, so a bad value is a ConfigError (exit 1).
+    if bits is None:
+        bits = config.get("precision_bits")
+    if bits is None:
+        bits = os.environ.get(PRECISION_ENV)
     try:
-        eff_bits = precision_bits(bits if bits is not None else config.get("precision_bits"))
+        eff_bits = precision_bits(bits)
     except (TypeError, ValueError) as exc:
         raise ConfigError("precision_bits", str(exc)) from None
 
-    old_env = os.environ.get(PRECISION_ENV)
-    os.environ[PRECISION_ENV] = str(eff_bits)
     started = time.monotonic()
     ctx = {"seed": eff_seed, "bits": eff_bits}
     try:
-        try:
-            results, geometry, ok = _HANDLERS[pipeline](params, ctx)
-        except ConfigError:
-            raise
-        except CantorForgeError as exc:
-            results = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-            geometry, ok = None, False
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError("params", f"{type(exc).__name__}: {exc}") from None
-    finally:
-        if old_env is None:
-            os.environ.pop(PRECISION_ENV, None)
-        else:
-            os.environ[PRECISION_ENV] = old_env
+        results, geometry, ok = _HANDLERS[pipeline](params, ctx)
+    except ConfigError:
+        raise
+    except CantorForgeError as exc:
+        results = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        geometry, ok = None, False
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError("params", f"{type(exc).__name__}: {exc}") from None
     elapsed = time.monotonic() - started
 
     report = {

@@ -293,14 +293,11 @@ def robustness_sweep(
     kt: GapTree,
     pert: PerturbationSpec,
     levels: int,
-    threads: int = 1,
 ) -> SweepReport:
     """Re-run the chain for every (lambda, t) on the perturbation grid.
 
     Points are visited lambda-major, t-minor, and results keep that order.
-    Failures are recorded per point.  ``threads`` is accepted and ignored:
-    exact ``Fraction`` work holds the interpreter lock, so the sweep runs
-    serially.
+    Failures are recorded per point.
     """
     slack = dominance_slack(k, kt, levels)
     combos = [(lam, t) for lam in pert.lambda_values() for t in pert.t_values()]

@@ -25,7 +25,7 @@ from .cantor1d import (
 )
 from .containment1d import NoMargin
 from .dyadic import precision_bits, sqrt_bounds
-from .nested_rd import Component, UndCertificate, dk_sequence
+from .nested_rd import UndCertificate, dk_sequence
 
 __all__ = [
     "SeparationSequence",

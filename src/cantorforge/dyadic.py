@@ -6,15 +6,16 @@ rational powers) and for snapping exact rationals onto a dyadic grid so that
 box endpoints stay small.  All rounding here is outward: lower bounds round
 down, upper bounds round up, so enclosures computed downstream are sound.
 
-The grid resolution is ``2**-bits`` with ``bits`` taken from the
-``CANTOR_FORGE_PRECISION_BITS`` environment variable (default 64) unless a
-caller passes an explicit value.
+The grid resolution is ``2**-bits``.  Library calls take ``bits`` as an
+argument and default to 64; nothing here reads the process environment.
+``cantor-forge run`` resolves ``bits`` once per scenario, in this order:
+``--precision-bits``, the config's ``precision_bits`` field, the
+``CANTOR_FORGE_PRECISION_BITS`` environment variable, then 64.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,11 +28,8 @@ Rat = Fraction
 
 
 def precision_bits(override: int | None = None) -> int:
-    """Resolve the working precision in fractional bits."""
-    if override is not None:
-        bits = int(override)
-    else:
-        bits = int(os.environ.get(PRECISION_ENV, DEFAULT_PRECISION_BITS))
+    """Resolve the working precision in fractional bits (default 64)."""
+    bits = DEFAULT_PRECISION_BITS if override is None else int(override)
     if bits < 1:
         raise ValueError(f"precision must be at least 1 bit, got {bits}")
     return bits

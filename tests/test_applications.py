@@ -8,12 +8,10 @@ from cantorforge.applications import (
     FamilyOutOfSlack,
     HSpec,
     MonotoneImageTree,
-    NoBracket,
     SignNotDefinite,
     _slice_derivative_data,
     derivative_bound,
     erdos_obstruction,
-    implicit_slice,
     nonlinear_companion,
     pinned_distance_demo,
     verify_H_interior,
@@ -32,7 +30,6 @@ def alpha_spec(x_lo="11/20", x_hi="13/20"):
         "alpha-norm",
         lam_box=Interval(Fraction(2), Fraction(2)),
         x_box=Interval(Fraction(x_lo), Fraction(x_hi)),
-        y_box=Interval(Fraction(0), Fraction(1)),
     )
 
 
@@ -41,26 +38,7 @@ def affine_spec():
         "affine-sum",
         lam_box=Interval(Fraction(1), Fraction(1)),
         x_box=Interval(Fraction(0), Fraction(1)),
-        y_box=Interval(Fraction(-1), Fraction(2)),
     )
-
-
-def test_slice_solver_on_the_circle():
-    spec = alpha_spec("3/5", "4/5")
-    res = implicit_slice(spec, 2, 1, 0.6)
-    assert abs(res.y - 0.8) < 1e-12
-    assert abs(res.residual) < 1e-12
-
-
-def test_slice_solver_affine():
-    res = implicit_slice(affine_spec(), 1, 1, 0.3)
-    assert abs(res.y - 0.7) < 1e-12
-
-
-def test_slice_solver_reports_missing_bracket():
-    spec = alpha_spec("3/5", "4/5")
-    with pytest.raises(NoBracket):
-        implicit_slice(spec, 2, 1, 1.2)
 
 
 def test_certified_enclosure_brackets_the_float_answer():
@@ -121,7 +99,6 @@ def test_image_tree_gap_lengths_affine():
         base.hull, 64,
     )
     image = MonotoneImageTree(base, spec, Fraction(1), Fraction(1), data)
-    assert image.gap_bounds_certified_only()
     for n in range(6):
         true_gap = Fraction(1, 3) ** (n + 1)
         assert image.level_min_gap(n) <= true_gap <= image.level_max_gap(n)
@@ -216,10 +193,6 @@ def test_circle_interior_grid_verifies_and_rechecks():
         assert p.residual is not None and p.residual <= tol
         # independent recomputation at 50 digits
         assert oracles.recheck_alpha_residual(2, p.c, p.witness_x, p.witness_y) < 1e-8
-    threaded = verify_H_interior(
-        spec, k1, k2, grid_values(c_box, 11), [Fraction(2)], 8, tol, threads=3
-    )
-    assert threaded.to_json_obj() == report.to_json_obj()
 
 
 def test_distance_demo_small():

@@ -65,6 +65,54 @@ def test_matrix_precision_is_passed_not_read_from_the_environment(monkeypatch, s
     assert rows != _build_geometry(geometry, 0, 64).matrix.rows
 
 
+def _distance_config(tmp_path, name, **fields):
+    cfg = tmp_path / name
+    cfg.write_text(json.dumps({
+        "pipeline": "distance-demo",
+        **fields,
+        "params": {"alpha": "3/2", "dimension": 2, "depth": 8, "grid": 2},
+    }))
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "flag, field, expected",
+    [(None, None, 96), ("32", None, 32), (None, 80, 80)],
+    ids=["env-alone", "flag-beats-env", "config-beats-env"],
+)
+def test_precision_precedence_through_main(tmp_path, monkeypatch, flag, field, expected):
+    monkeypatch.delenv(PRECISION_ENV, raising=False)
+    plain = _distance_config(tmp_path, "plain.json")
+    _, direct = run_to(tmp_path, plain, "direct.json", extra=("--precision-bits", str(expected)))
+    _, default = run_to(tmp_path, plain, "default.json")
+
+    monkeypatch.setenv(PRECISION_ENV, "96")
+    cfg = plain if field is None else _distance_config(tmp_path, "field.json", precision_bits=field)
+    code, blob = run_to(tmp_path, cfg, "out.json", extra=() if flag is None else ("--precision-bits", flag))
+    assert code == 0
+    report = json.loads(blob)
+    assert report["precision_bits"] == expected
+    # the resolved precision is the one the pipeline computed with
+    assert report["results"] == json.loads(direct)["results"]
+    assert report["results"] != json.loads(default)["results"]
+
+
+def test_precision_below_one_bit_in_the_environment_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(PRECISION_ENV, "0")
+    out = tmp_path / "rep.json"
+    assert main(["run", str(_distance_config(tmp_path, "d.json")), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "precision_bits" in err
+    assert not out.exists()
+
+
+def test_only_the_cli_reads_the_environment():
+    src = Path(__file__).resolve().parents[1] / "src" / "cantorforge"
+    readers = sorted(p.name for p in src.glob("*.py") if "os.environ" in p.read_text())
+    assert readers == ["cli.py"]
+
+
 @pytest.mark.parametrize("bits", ["0", "-1"])
 @pytest.mark.parametrize("config", SCENARIOS, ids=lambda p: p.stem)
 def test_precision_below_one_bit_is_a_config_error(tmp_path, capsys, config, bits):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorforge.applications import HSpec, nonlinear_companion
+from cantorforge.cantor1d import Interval, build_binary_ifs
 from cantorforge.dyadic import (
     DEFAULT_PRECISION_BITS,
     IV,
@@ -20,6 +22,7 @@ from cantorforge.dyadic import (
     round_up,
     sqrt_bounds,
 )
+from cantorforge.nested_rd import RotationMatrix
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 small_bits = st.integers(min_value=4, max_value=128)
@@ -216,10 +219,24 @@ def test_iv_pow_encloses_endpoint_powers(a, b, e):
 
 
 def test_precision_bits_resolution_order(monkeypatch):
+    # the library default is 64 whatever the environment holds
     monkeypatch.delenv(PRECISION_ENV, raising=False)
-    assert precision_bits() == DEFAULT_PRECISION_BITS
-    monkeypatch.setenv(PRECISION_ENV, "96")
-    assert precision_bits() == 96
+    assert precision_bits() == DEFAULT_PRECISION_BITS == 64
+    for env in ("96", "1"):
+        monkeypatch.setenv(PRECISION_ENV, env)
+        assert precision_bits() == 64
     assert precision_bits(32) == 32
     with pytest.raises(ValueError):
         precision_bits(0)
+
+
+def test_library_calls_without_bits_ignore_the_environment(monkeypatch):
+    monkeypatch.setenv(PRECISION_ENV, "1")
+    assert RotationMatrix.axis_mixing(2).rows == RotationMatrix.axis_mixing(2, 64).rows
+    k1 = build_binary_ifs(Interval(Fraction(11, 20), Fraction(13, 20)), Fraction(1, 10), 6)
+    alpha = Interval(Fraction(3, 2), Fraction(3, 2))
+    spec = HSpec("alpha-norm", alpha, k1.hull)
+    c_box = Interval(Fraction(19, 20), Fraction(21, 20))
+    implicit = nonlinear_companion(k1, spec, alpha, c_box)
+    explicit = nonlinear_companion(k1, spec, alpha, c_box, bits=64)
+    assert implicit.to_json_obj() == explicit.to_json_obj()
