@@ -14,12 +14,10 @@ from .cantor1d import (
     LevelOutOfRange,
     MeasureBounds,
     SymmetricGapTree,
-    SymmetricSpec,
     ZeroScale,
     affine_image,
     as_rat,
     build_binary_ifs,
-    build_symmetric,
     canonical_json,
     gap_stats,
     measure_bounds,
@@ -93,6 +91,6 @@ from .applications import (
     pinned_distance_demo,
     verify_H_interior,
 )
-from .dyadic import IV, precision_bits, round_down, round_up, root_bounds, sqrt_bounds
+from .dyadic import precision_bits, round_down, round_up, root_bounds, sqrt_bounds
 
 __version__ = "0.1.0"

@@ -35,7 +35,7 @@ from .containment1d import (
     find_chain,
     grid_values,
 )
-from .dyadic import IV, iv_pow, pow_bounds, precision_bits
+from .dyadic import iv_pow, pow_bounds, precision_bits
 
 __all__ = [
     "HSpec",
@@ -96,7 +96,7 @@ class HSpec:
             if self.lam_box.lo <= 1:
                 raise ValueError("alpha-norm exponent must exceed 1")
 
-    def slice_enclosure(self, lam_iv: IV, c_iv: IV, x_iv: IV, bits: int) -> IV:
+    def slice_enclosure(self, lam_iv: Interval, c_iv: Interval, x_iv: Interval, bits: int) -> Interval:
         """Enclosure of g(x) = the y solving H = c, over boxes of inputs."""
         if self.family == "affine-sum":
             return c_iv - lam_iv * x_iv
@@ -106,17 +106,17 @@ class HSpec:
             raise SignNotDefinite("c - x^alpha is not positive on the box")
         return iv_pow(inner, 1 / alpha, bits)
 
-    def slice_point(self, lam: Fraction, c: Fraction, x: Fraction, bits: int) -> IV:
-        return self.slice_enclosure(IV.point(lam), IV.point(c), IV.point(x), bits)
+    def slice_point(self, lam: Fraction, c: Fraction, x: Fraction, bits: int) -> Interval:
+        return self.slice_enclosure(Interval.point(lam), Interval.point(c), Interval.point(x), bits)
 
-    def residual_enclosure(self, lam, c, x, y, bits: int) -> IV:
+    def residual_enclosure(self, lam, c, x, y, bits: int) -> Interval:
         """Enclosure of H(lam, x, y) - c at rational arguments."""
         if self.family == "affine-sum":
-            return IV.point(lam * x + y - c)
+            return Interval.point(lam * x + y - c)
         alpha = self.lam_box.lo
         xa = pow_bounds(x, alpha, bits)
         ya = pow_bounds(y, alpha, bits)
-        return IV(xa[0] + ya[0] - c, xa[1] + ya[1] - c)
+        return Interval(xa[0] + ya[0] - c, xa[1] + ya[1] - c)
 
 
 @dataclass(frozen=True)
@@ -135,11 +135,9 @@ def _slice_derivative_data(
     if spec.family == "affine-sum":
         if lam_box.lo <= 0 <= lam_box.hi:
             raise SignNotDefinite("slope range contains zero")
-        lam_iv = IV(lam_box.lo, lam_box.hi)
-        y_iv = IV(c_box.lo, c_box.hi) - lam_iv * IV(x_box.lo, x_box.hi)
         lower = min(abs(lam_box.lo), abs(lam_box.hi))
         upper = max(abs(lam_box.lo), abs(lam_box.hi))
-        return SliceDerivative(lam_box.lo > 0, lower, upper, Interval(y_iv.lo, y_iv.hi))
+        return SliceDerivative(lam_box.lo > 0, lower, upper, c_box - lam_box * x_box)
     alpha = spec.lam_box.lo
     if x_box.lo <= 0:
         raise SignNotDefinite("x box must be strictly positive for alpha-norm")
@@ -147,8 +145,8 @@ def _slice_derivative_data(
     x_lo_pow = pow_bounds(x_box.lo, alpha, bits)[0]
     if c_box.lo - x_hi_pow <= 0:
         raise SignNotDefinite("y^alpha = c - x^alpha can reach zero on the box")
-    y_lo = iv_pow(IV.point(c_box.lo - x_hi_pow), 1 / alpha, bits).lo
-    y_hi = iv_pow(IV.point(c_box.hi - x_lo_pow), 1 / alpha, bits).hi
+    y_lo = pow_bounds(c_box.lo - x_hi_pow, 1 / alpha, bits)[0]
+    y_hi = pow_bounds(c_box.hi - x_lo_pow, 1 / alpha, bits)[1]
     lower = pow_bounds(x_box.lo / y_hi, alpha - 1, bits)[0]
     upper = pow_bounds(x_box.hi / y_lo, alpha - 1, bits)[1]
     if lower <= 0:
@@ -194,7 +192,7 @@ class MonotoneImageTree(GapTree):
         self.c = as_rat(c)
         self.data = data
         self.bits = precision_bits(bits)
-        self._slices: dict[Fraction, IV] = {}
+        self._slices: dict[Fraction, Interval] = {}
         self._base_nodes: dict[str, tuple[str, Fraction, Fraction]] = {}
         a = self._slice(base.hull.lo)
         b = self._slice(base.hull.hi)
@@ -206,7 +204,7 @@ class MonotoneImageTree(GapTree):
             return addr
         return "".join("1" if ch == "0" else "0" for ch in addr)
 
-    def _slice(self, x: Fraction) -> IV:
+    def _slice(self, x: Fraction) -> Interval:
         iv = self._slices.get(x)
         if iv is None:
             iv = self._slices[x] = self.spec.slice_point(self.lam, self.c, x, self.bits)
@@ -265,7 +263,6 @@ def nonlinear_companion(
     c_box: Interval,
     depth: int | None = None,
     shrink=Fraction(1, 2),
-    pad=None,
     bits=None,
 ) -> SymmetricGapTree:
     """Symmetric companion sized for every slice image of k1 on the boxes.
@@ -273,25 +270,16 @@ def nonlinear_companion(
     Stage-n gaps are shrink * eta * (stage-n min gap of k1), capped at
     feasibility, so any single slice image dominates the companion no
     matter which (lam, c) in the boxes produced it.  The hull is the
-    certified image range padded on both sides, by ``pad`` (default: 1/64
-    of the range plus 2**-40).
+    certified image range padded on both sides by 1/64 of the range plus
+    2**-40.
     """
     bits = precision_bits(bits)
     depth = k1.depth if depth is None else depth
     if depth < 1 or depth > k1.depth:
         raise LevelOutOfRange(depth, k1.depth)
     data = _slice_derivative_data(spec, lam_box, c_box, k1.hull, bits)
-    image = spec.slice_enclosure(
-        IV(lam_box.lo, lam_box.hi),
-        IV(c_box.lo, c_box.hi),
-        IV(k1.hull.lo, k1.hull.hi),
-        bits,
-    )
-    if pad is None:
-        pad = (image.hi - image.lo) / 64 + Fraction(1, 1 << 40)
-    pad = as_rat(pad)
-    if pad <= 0:
-        raise ValueError("pad must be positive")
+    image = spec.slice_enclosure(lam_box, c_box, k1.hull, bits)
+    pad = image.length / 64 + Fraction(1, 1 << 40)
     hull = Interval(image.lo - pad, image.hi + pad)
     shrink = as_rat(shrink)
     if not Fraction(0) < shrink < 1:
@@ -414,7 +402,7 @@ def verify_H_interior(
         if lo > hi:
             return InteriorPoint(c, lam, False, "witness-escaped-cell", None, None, None, None)
         y_pt = (lo + hi) / 2
-        resid = _abs_hi(spec.residual_enclosure(lam, c, x_pt, y_pt, bits))
+        resid = spec.residual_enclosure(lam, c, x_pt, y_pt, bits).abs().hi
         ok = resid <= tol
         reason = None if ok else "residual"
         return InteriorPoint(c, lam, ok, reason, resid, x_pt, y_pt, chain.bound)
@@ -437,10 +425,6 @@ def verify_H_interior(
         all_ok=all(p.ok for p in points),
         certified_c=certified,
     )
-
-
-def _abs_hi(iv: IV) -> Fraction:
-    return max(abs(iv.lo), abs(iv.hi))
 
 
 def _longest_true_run(values, flags) -> Interval | None:
@@ -523,8 +507,8 @@ def pinned_distance_demo(
     coverage = None
     if interior.certified_c is not None:
         b = precision_bits(bits)
-        lo = iv_pow(IV.point(interior.certified_c.lo), 1 / alpha, b).lo
-        hi = iv_pow(IV.point(interior.certified_c.hi), 1 / alpha, b).hi
+        lo = pow_bounds(interior.certified_c.lo, 1 / alpha, b)[0]
+        hi = pow_bounds(interior.certified_c.hi, 1 / alpha, b)[1]
         coverage = Interval(lo, hi)
     return DistanceDemoReport(
         dimension=dimension,
@@ -582,6 +566,9 @@ class MapRecord:
 
 @dataclass(frozen=True)
 class ObstructionReport:
+    """Outcome of ``erdos_obstruction``.  ``companion`` is the tree whose
+    translates tile the window; the JSON form leaves it out."""
+
     window: Interval
     spacing: Fraction
     certified: Interval
@@ -589,6 +576,7 @@ class ObstructionReport:
     k_range: tuple[int, int]
     records: tuple[MapRecord, ...]
     all_ok: bool
+    companion: SymmetricGapTree
 
     def to_json_obj(self):
         return {
@@ -682,4 +670,5 @@ def erdos_obstruction(
         k_range=(k_lo, k_hi),
         records=records,
         all_ok=all(r.ok for r in records),
+        companion=khat,
     )

@@ -60,16 +60,31 @@ def as_rat(x) -> Fraction:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi] with rational endpoints, lo <= hi."""
+    """Closed interval [lo, hi] with rational endpoints, lo <= hi.
+
+    Arithmetic is exact interval arithmetic (no rounding per operation);
+    callers round at the boundaries where dyadic endpoints are wanted.
+    """
 
     lo: Fraction
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_rat(self.lo))
-        object.__setattr__(self, "hi", as_rat(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
+        # Arithmetic results are already Fractions; only other inputs convert.
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = as_rat(lo)
+            object.__setattr__(self, "lo", lo)
+        if type(hi) is not Fraction:
+            hi = as_rat(hi)
+            object.__setattr__(self, "hi", hi)
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: [{lo}, {hi}]")
+
+    @staticmethod
+    def point(x) -> "Interval":
+        x = as_rat(x)
+        return Interval(x, x)
 
     @property
     def length(self) -> Fraction:
@@ -84,11 +99,30 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def translated(self, t: Fraction) -> "Interval":
-        return Interval(self.lo + t, self.hi + t)
+    def __add__(self, other: "Interval") -> "Interval":
+        return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
+    def __sub__(self, other: "Interval") -> "Interval":
+        return Interval(self.lo - other.hi, self.hi - other.lo)
+
+    def __neg__(self) -> "Interval":
+        return Interval(-self.hi, -self.lo)
+
+    def __mul__(self, other: "Interval") -> "Interval":
+        products = (
+            self.lo * other.lo,
+            self.lo * other.hi,
+            self.hi * other.lo,
+            self.hi * other.hi,
+        )
+        return Interval(min(products), max(products))
+
+    def abs(self) -> "Interval":
+        if self.lo >= 0:
+            return self
+        if self.hi <= 0:
+            return -self
+        return Interval(Fraction(0), max(-self.lo, self.hi))
 
 
 def _check_addr(addr: str, depth: int, *, gap: bool):
@@ -213,7 +247,8 @@ class SymmetricGapTree(GapTree):
 
     Only the per-level data is stored, so depth-20 trees cost twenty numbers,
     not a million nodes.  Every level-n interval has the same length L_n with
-    L_{n+1} = (L_n - gap_n) / 2.
+    L_{n+1} = (L_n - gap_n) / 2.  The first level whose gap does not fit
+    raises GapConstraintViolation; nothing is clamped.
     """
 
     def __init__(self, hull: Interval, gap_lengths: tuple[Fraction, ...]):
@@ -345,26 +380,6 @@ class ExplicitGapTree(GapTree):
     def gap(self, addr: str) -> Interval:
         _check_addr(addr, self.depth, gap=True)
         return self.gaps[addr]
-
-
-@dataclass(frozen=True)
-class SymmetricSpec:
-    """Recipe for build_symmetric: a hull plus one gap length per level."""
-
-    hull: Interval
-    gap_lengths: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "gap_lengths", tuple(as_rat(g) for g in self.gap_lengths))
-
-
-def build_symmetric(spec: SymmetricSpec) -> SymmetricGapTree:
-    """Build the centered tree for the given per-level gap lengths.
-
-    Feasibility at level n is exactly the positivity of the level length
-    after n splits; the first failing level is reported, not clamped.
-    """
-    return SymmetricGapTree(spec.hull, spec.gap_lengths)
 
 
 def build_binary_ifs(hull: Interval, ratio, depth: int) -> SymmetricGapTree:

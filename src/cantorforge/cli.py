@@ -26,10 +26,9 @@ from . import __version__
 from .cantor1d import (
     CantorForgeError,
     Interval,
+    SymmetricGapTree,
     affine_image,
     build_binary_ifs,
-    build_symmetric,
-    SymmetricSpec,
     canonical_json,
     middle_thirds,
     rat_pair,
@@ -132,7 +131,7 @@ def _build_set(spec, field):
     if kind == "symmetric":
         hull = _interval(spec["hull"], field + ".hull")
         gaps = tuple(_rat(g, field + ".gaps") for g in spec["gaps"])
-        return build_symmetric(SymmetricSpec(hull, gaps))
+        return SymmetricGapTree(hull, gaps)
     if kind == "explicit":
         return tree_from_json_obj(spec["tree"])
     raise ConfigError(field, f"unknown set kind {kind!r}")
@@ -206,7 +205,8 @@ def _boxes_geometry(cert):
     return {"kind": "boxes", "boxes": boxes}
 
 
-def _pipe_companion_1d(params, ctx):
+def _set_and_companion(params):
+    """The set of a 1-D pipeline, its level count and its companion."""
     k = _build_set(params["set"], "params.set")
     levels = int(params.get("levels", 20))
     kt = build_companion(
@@ -215,6 +215,11 @@ def _pipe_companion_1d(params, ctx):
         _rat(params.get("margin", "1/10"), "params.margin"),
         _rat(params.get("factor", "1/2"), "params.factor"),
     )
+    return k, levels, kt
+
+
+def _pipe_companion_1d(params, ctx):
+    k, levels, kt = _set_and_companion(params)
     dom = check_dominance(k, kt, levels)
     results = {"dominance": dom.to_json_obj()}
     ok = dom.overall
@@ -228,14 +233,7 @@ def _pipe_companion_1d(params, ctx):
 
 
 def _pipe_interior_1d(params, ctx):
-    k = _build_set(params["set"], "params.set")
-    levels = int(params.get("levels", 20))
-    kt = build_companion(
-        k,
-        levels,
-        _rat(params.get("margin", "1/10"), "params.margin"),
-        _rat(params.get("factor", "1/2"), "params.factor"),
-    )
+    k, levels, kt = _set_and_companion(params)
     interior = certify_difference_interior(k, kt, levels)
     count = int(params.get("grid", 101))
     points = []
@@ -262,14 +260,7 @@ def _pipe_interior_1d(params, ctx):
 
 
 def _pipe_sweep_1d(params, ctx):
-    k = _build_set(params["set"], "params.set")
-    levels = int(params.get("levels", 20))
-    kt = build_companion(
-        k,
-        levels,
-        _rat(params.get("margin", "1/10"), "params.margin"),
-        _rat(params.get("factor", "1/2"), "params.factor"),
-    )
+    k, levels, kt = _set_and_companion(params)
     pert = PerturbationSpec(
         _interval(params["lambda_range"], "params.lambda_range"),
         _interval(params["t_range"], "params.t_range"),
@@ -298,6 +289,21 @@ def _cert_from_params(params, ctx, keep_cells):
         keep_cells=keep_cells,
     )
     return rep, cert
+
+
+def _cert_and_companion(params, ctx):
+    """Certificate of an R^d pipeline, its floors d_k, the product
+    companion built on them and the level count."""
+    rep, cert = _cert_from_params(params, ctx, keep_cells=bool(params.get("keep_cells", False)))
+    seps = separation_sequence(cert)
+    companion = build_product_companion(
+        rep.exact_hull,
+        seps,
+        _rat(params.get("shrink", "1/2"), "params.shrink"),
+        _rat(params.get("companion_margin", "1/10"), "params.companion_margin"),
+    )
+    levels = int(params.get("levels", cert.depth))
+    return cert, seps, companion, levels
 
 
 def _pipe_nondegeneracy(params, ctx):
@@ -335,15 +341,7 @@ def _pipe_rotate_fix(params, ctx):
 
 
 def _pipe_companion_rd(params, ctx):
-    rep, cert = _cert_from_params(params, ctx, keep_cells=bool(params.get("keep_cells", False)))
-    seps = separation_sequence(cert)
-    companion = build_product_companion(
-        rep.exact_hull,
-        seps,
-        _rat(params.get("shrink", "1/2"), "params.shrink"),
-        _rat(params.get("companion_margin", "1/10"), "params.companion_margin"),
-    )
-    levels = int(params.get("levels", cert.depth))
+    cert, seps, companion, levels = _cert_and_companion(params, ctx)
     chain = find_chain_rd(cert, companion, levels, bits=ctx["bits"])
     box = certify_sum_interior_rd(cert, companion, levels)
     results = {
@@ -356,15 +354,7 @@ def _pipe_companion_rd(params, ctx):
 
 
 def _pipe_interior_rd(params, ctx):
-    rep, cert = _cert_from_params(params, ctx, keep_cells=bool(params.get("keep_cells", False)))
-    seps = separation_sequence(cert)
-    companion = build_product_companion(
-        rep.exact_hull,
-        seps,
-        _rat(params.get("shrink", "1/2"), "params.shrink"),
-        _rat(params.get("companion_margin", "1/10"), "params.companion_margin"),
-    )
-    levels = int(params.get("levels", cert.depth))
+    cert, seps, companion, levels = _cert_and_companion(params, ctx)
     box = certify_sum_interior_rd(cert, companion, levels)
     count = int(params.get("grid", 5))
     axes = [grid_values(iv, count) for iv in box]
@@ -424,8 +414,7 @@ def _pipe_erdos_demo(params, ctx):
         margin=margin,
         factor=factor,
     )
-    khat = build_companion(k, levels, margin=margin, factor=factor)
-    return {"obstruction": report.to_json_obj()}, khat.to_json_obj(), report.all_ok
+    return {"obstruction": report.to_json_obj()}, report.companion.to_json_obj(), report.all_ok
 
 
 _HANDLERS = {

@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .cantor1d import (
     CantorForgeError,
-    GapConstraintViolation,
     GapTree,
     Interval,
     LevelOutOfRange,
@@ -167,13 +166,11 @@ def build_companion(
     depth: int,
     margin,
     factor,
-    cap: bool = True,
 ) -> SymmetricGapTree:
     """Symmetric companion on an enlarged hull with uniformly shorter gaps.
 
     Level-n gaps are factor * (min gap of k at level n), capped at half the
-    level length so the construction always stays feasible.  With the cap
-    disabled an infeasible request propagates as GapConstraintViolation.
+    level length so the construction always stays feasible.
     """
     margin = as_rat(margin)
     factor = as_rat(factor)
@@ -187,11 +184,7 @@ def build_companion(
     level_len = hull.length
     gaps = []
     for n in range(depth):
-        want = factor * k.level_min_gap(n)
-        if cap:
-            want = min(want, level_len / 2)
-        if want <= 0 or want >= level_len:
-            raise GapConstraintViolation(n)
+        want = min(factor * k.level_min_gap(n), level_len / 2)
         gaps.append(want)
         level_len = (level_len - want) / 2
     return SymmetricGapTree(hull, tuple(gaps))

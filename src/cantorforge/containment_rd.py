@@ -92,10 +92,6 @@ class ProductCompanion:
     def interval(self) -> Interval:
         return self.base.hull
 
-    def cell(self, addrs: tuple[str, ...], translate=None) -> tuple[Interval, ...]:
-        t = translate if translate is not None else (Fraction(0),) * self.dim
-        return tuple(self.base.interval(a).translated(ti) for a, ti in zip(addrs, t))
-
     def to_json_obj(self) -> dict:
         return {
             "hull": [rat_pair(self.base.hull.lo), rat_pair(self.base.hull.hi)],
@@ -114,10 +110,11 @@ def build_product_companion(
 ) -> ProductCompanion:
     """Companion cube tree whose stage-k gaps are shrink * d_k.
 
-    ``cert_hull`` is the per-axis hull of the certified geometry; the base
-    interval I spans the widest axis extent, inflated by ``margin`` on both
-    sides, and the same base tree is used on every axis.  shrink < 1 keeps
-    every gap strictly below its floor, which the chain needs.
+    ``cert_hull`` is the per-axis hull of the certified geometry, one
+    ``Interval`` per axis (``NestedRep.exact_hull``); the base interval I
+    spans the widest axis extent, inflated by ``margin`` on both sides, and
+    the same base tree is used on every axis.  shrink < 1 keeps every gap
+    strictly below its floor, which the chain needs.
     """
     shrink = as_rat(shrink)
     margin = as_rat(margin)
@@ -127,12 +124,8 @@ def build_product_companion(
         raise ValueError("margin cannot be negative")
     if not isinstance(seps, SeparationSequence):
         seps = SeparationSequence(tuple(seps))
-    hull_axes = [
-        iv if isinstance(iv, Interval) else Interval(as_rat(iv.lo), as_rat(iv.hi))
-        for iv in cert_hull
-    ]
-    lo = min(iv.lo for iv in hull_axes)
-    hi = max(iv.hi for iv in hull_axes)
+    lo = min(iv.lo for iv in cert_hull)
+    hi = max(iv.hi for iv in cert_hull)
     interval = Interval(lo - margin, hi + margin)
     gaps = tuple(shrink * d for d in seps.values)
     try:
@@ -141,7 +134,7 @@ def build_product_companion(
         raise InfeasibleGaps(
             f"requested gaps do not fit inside the companion interval (level {exc.level})"
         ) from exc
-    return ProductCompanion(base, len(hull_axes), seps, shrink, margin)
+    return ProductCompanion(base, len(cert_hull), seps, shrink, margin)
 
 
 @dataclass(frozen=True)
@@ -292,22 +285,17 @@ def certify_sum_interior_rd(
             raise InfeasibleGaps(
                 f"stage-{n + 1} gap is not below the certified separation floor"
             )
-    hull = _certificate_hull(cert)
+    # Per-axis exact hull of the geometry the certificate talks about.
+    hull = cert.root.components[0].rep.exact_hull
     interval = companion.interval
     box = []
     for axis in range(d):
-        lo = hull[axis][0] - interval.lo
-        hi_margin = interval.hi - hull[axis][1]
+        lo = hull[axis].lo - interval.lo
+        hi_margin = interval.hi - hull[axis].hi
         if lo <= 0 or hi_margin <= 0:
             raise NoMargin(f"no hull margin on axis {axis}")
-        box.append(Interval(hull[axis][1] - interval.hi, hull[axis][0] - interval.lo))
+        box.append(Interval(hull[axis].hi - interval.hi, hull[axis].lo - interval.lo))
     center = tuple(iv.midpoint() for iv in box)
     find_chain_rd(cert, companion, levels, translate=center)
     return tuple(box)
 
-
-def _certificate_hull(cert: UndCertificate):
-    """Per-axis exact hull of the geometry the certificate talks about."""
-    comp = cert.root.components[0]
-    rep = comp.rep
-    return tuple((iv.lo, iv.hi) for iv in rep.exact_hull)

@@ -16,10 +16,9 @@ argument and default to 64; nothing here reads the process environment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .cantor1d import as_rat
+from .cantor1d import Interval
 
 DEFAULT_PRECISION_BITS = 64
 PRECISION_ENV = "CANTOR_FORGE_PRECISION_BITS"
@@ -132,99 +131,12 @@ def pow_bounds(x: Fraction, e: Fraction, bits: int) -> tuple[Fraction, Fraction]
     return root_bounds(powed, q, bits)
 
 
-@dataclass(frozen=True)
-class IV:
-    """Closed interval [lo, hi] with exact rational endpoints.
-
-    Arithmetic is exact (no rounding per operation); callers round at the
-    boundaries where dyadic endpoints are wanted.
-    """
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval value [{self.lo}, {self.hi}]")
-
-    @staticmethod
-    def point(x) -> "IV":
-        x = as_rat(x)
-        return IV(x, x)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    def __add__(self, other: "IV") -> "IV":
-        return IV(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "IV") -> "IV":
-        return IV(self.lo - other.hi, self.hi - other.lo)
-
-    def __neg__(self) -> "IV":
-        return IV(-self.hi, -self.lo)
-
-    def __mul__(self, other: "IV") -> "IV":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return IV(min(products), max(products))
-
-    def scaled(self, c: Fraction) -> "IV":
-        if c >= 0:
-            return IV(self.lo * c, self.hi * c)
-        return IV(self.hi * c, self.lo * c)
-
-    def __truediv__(self, other: "IV") -> "IV":
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("interval divisor contains zero")
-        quotients = (
-            self.lo / other.lo,
-            self.lo / other.hi,
-            self.hi / other.lo,
-            self.hi / other.hi,
-        )
-        return IV(min(quotients), max(quotients))
-
-    def abs(self) -> "IV":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return IV(Fraction(0), max(-self.lo, self.hi))
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
-
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
-    def sign_definite(self) -> bool:
-        return self.lo > 0 or self.hi < 0
-
-    def rounded(self, bits: int) -> "IV":
-        return IV(round_down(self.lo, bits), round_up(self.hi, bits))
-
-
-def iv_sqrt(v: IV, bits: int) -> IV:
-    lo, _ = sqrt_bounds(v.lo, bits)
-    _, hi = sqrt_bounds(v.hi, bits)
-    return IV(lo, hi)
-
-
-def iv_pow(v: IV, e: Fraction, bits: int) -> IV:
+def iv_pow(v: Interval, e: Fraction, bits: int) -> Interval:
     """v ** e for v.lo > 0; monotone in the base for e of fixed sign."""
     if v.lo <= 0:
         raise ValueError("iv_pow requires a strictly positive interval")
     a_lo, a_hi = pow_bounds(v.lo, e, bits)
     b_lo, b_hi = pow_bounds(v.hi, e, bits)
     if e >= 0:
-        return IV(a_lo, b_hi)
-    return IV(b_lo, a_hi)
+        return Interval(a_lo, b_hi)
+    return Interval(b_lo, a_hi)

@@ -50,7 +50,7 @@ from .cantor1d import (
     rat_pair,
     rat_from_pair,
 )
-from .dyadic import IV, precision_bits, round_down, round_up, sqrt_bounds
+from .dyadic import precision_bits, round_down, round_up, sqrt_bounds
 
 DEFAULT_SEPARATION_MARGIN = Fraction(1, 1 << 40)
 
@@ -93,16 +93,15 @@ class InvalidCertificate(CantorForgeError):
 # rotation matrices
 
 
-def _as_iv(e) -> IV:
-    if isinstance(e, IV):
-        return e
-    return IV.point(as_rat(e))
+def _as_interval(e) -> Interval:
+    """A matrix entry or shift given as an Interval or as one rational."""
+    return e if isinstance(e, Interval) else Interval.point(e)
 
 
 def _mat_mul(a, b):
     d = len(a)
     return [
-        [sum((a[i][k] * b[k][j] for k in range(d)), IV.point(0)) for j in range(d)]
+        [sum((a[i][k] * b[k][j] for k in range(d)), Interval.point(0)) for j in range(d)]
         for i in range(d)
     ]
 
@@ -117,7 +116,7 @@ class RotationMatrix:
 
     def __init__(self, name: str, rows):
         self.name = name
-        self.rows = tuple(tuple(_as_iv(e) for e in row) for row in rows)
+        self.rows = tuple(tuple(_as_interval(e) for e in row) for row in rows)
         d = len(self.rows)
         if any(len(row) != d for row in self.rows):
             raise ValueError("rotation matrix must be square")
@@ -125,17 +124,17 @@ class RotationMatrix:
         defect = Fraction(0)
         for i in range(d):
             for j in range(d):
-                acc = IV.point(0)
+                acc = Interval.point(0)
                 for k in range(d):
                     acc = acc + self.rows[k][i] * self.rows[k][j]
                 if i == j:
-                    acc = acc - IV.point(1)
+                    acc = acc - Interval.point(1)
                 defect = max(defect, acc.abs().hi)
         self.defect = defect
 
     @staticmethod
     def identity(d: int) -> "RotationMatrix":
-        rows = [[IV.point(1 if i == j else 0) for j in range(d)] for i in range(d)]
+        rows = [[Interval.point(1 if i == j else 0) for j in range(d)] for i in range(d)]
         return RotationMatrix("identity", rows)
 
     @staticmethod
@@ -148,10 +147,10 @@ class RotationMatrix:
         """
         bits = precision_bits(bits)
         lo, hi = sqrt_bounds(Fraction(1, 2), bits + 16)
-        s = IV(lo, hi)
-        result = [[IV.point(1 if i == j else 0) for j in range(d)] for i in range(d)]
+        s = Interval(lo, hi)
+        result = [[Interval.point(1 if i == j else 0) for j in range(d)] for i in range(d)]
         for axis in range(d - 1):
-            givens = [[IV.point(1 if i == j else 0) for j in range(d)] for i in range(d)]
+            givens = [[Interval.point(1 if i == j else 0) for j in range(d)] for i in range(d)]
             givens[axis][axis] = -s
             givens[axis][axis + 1] = s
             givens[axis + 1][axis] = s
@@ -191,13 +190,13 @@ class RotationMatrix:
                 ortho.append(u)
             if ok:
                 break
-        rows: list[list[IV]] = [[IV.point(0)] * d for _ in range(d)]
+        rows: list[list[Interval]] = [[Interval.point(0)] * d for _ in range(d)]
         for j, u in enumerate(ortho):
             norm_sq = sum(x * x for x in u)
             lo, hi = sqrt_bounds(norm_sq, bits + 16)
             mid = (lo + hi) / 2
             for i in range(d):
-                rows[i][j] = IV.point(u[i] / mid)
+                rows[i][j] = Interval.point(u[i] / mid)
         return RotationMatrix(f"quasi-random-{seed}", rows)
 
     def to_json_obj(self):
@@ -210,7 +209,7 @@ class RotationMatrix:
     @staticmethod
     def from_json_obj(obj) -> "RotationMatrix":
         rows = [
-            [IV(rat_from_pair(e[0]), rat_from_pair(e[1])) for e in row] for row in obj["rows"]
+            [Interval(rat_from_pair(e[0]), rat_from_pair(e[1])) for e in row] for row in obj["rows"]
         ]
         return RotationMatrix(obj["name"], rows)
 
@@ -237,7 +236,7 @@ class ProductGeometry:
         self.matrix = matrix
         if shift is None:
             shift = (Fraction(0),) * self.dim
-        self.shift = tuple(_as_iv(s) for s in shift)
+        self.shift = tuple(_as_interval(s) for s in shift)
         self._splitters: dict = {}
 
     def with_matrix(self, matrix: RotationMatrix) -> "ProductGeometry":
@@ -258,22 +257,22 @@ class ProductGeometry:
                 parts.append((None, f, f))
         return tuple(parts)
 
-    def cell_image_box(self, cell) -> tuple[IV, ...]:
+    def cell_image_box(self, cell) -> tuple[Interval, ...]:
         """Exact interval box of the cell's image, before any rounding."""
         if self.matrix is None:
             return tuple(
-                IV(lo, hi) + self.shift[i] for i, (_, lo, hi) in enumerate(cell)
+                Interval(lo, hi) + self.shift[i] for i, (_, lo, hi) in enumerate(cell)
             )
         out = []
         for i in range(self.dim):
             acc = self.shift[i]
             row = self.matrix.rows[i]
             for j, (_, lo, hi) in enumerate(cell):
-                acc = acc + row[j] * IV(lo, hi)
+                acc = acc + row[j] * Interval(lo, hi)
             out.append(acc)
         return tuple(out)
 
-    def exact_hull_box(self) -> tuple[IV, ...]:
+    def exact_hull_box(self) -> tuple[Interval, ...]:
         return self.cell_image_box(self.top_cell())
 
     def part_splitter(self, j: int, target: Fraction):
@@ -563,7 +562,7 @@ class NestedRep:
         ]
         return children, sum(max(box.length for _, box in groups) ** 2 for groups in per_axis)
 
-    def _axis_box(self, lo: Fraction, hi: Fraction, shift: IV) -> Interval:
+    def _axis_box(self, lo: Fraction, hi: Fraction, shift: Interval) -> Interval:
         if self._snap:
             return Interval(round_down(lo + shift.lo, self.bits), round_up(hi + shift.hi, self.bits))
         return Interval(lo, hi)
@@ -945,7 +944,7 @@ class UndCertificate:
     bits: int
     root: CertNode
     matrix: RotationMatrix | None
-    shift: tuple[IV, ...]
+    shift: tuple[Interval, ...]
 
     @cached_property
     def dk(self) -> tuple[Fraction, ...]:
@@ -1200,14 +1199,14 @@ def _check_certificate(obj: dict, problems: list[str]):
         if len(matrix) != dim or any(len(row) != dim for row in matrix):
             raise ValueError(f"the matrix is not {dim} by {dim}")
         row_den, rows = _integer_rows(
-            [[IV(rat_from_pair(e[0]), rat_from_pair(e[1])) for e in row] for row in matrix]
+            [[Interval(rat_from_pair(e[0]), rat_from_pair(e[1])) for e in row] for row in matrix]
         )
     if obj.get("shift") is not None:
-        shift = [IV(rat_from_pair(s[0]), rat_from_pair(s[1])) for s in obj["shift"]]
+        shift = [Interval(rat_from_pair(s[0]), rat_from_pair(s[1])) for s in obj["shift"]]
         if len(shift) != dim:
             raise ValueError(f"the shift has {len(shift)} axes, expected {dim}")
     else:
-        shift = [IV.point(0)] * dim
+        shift = [Interval.point(0)] * dim
     pair_keys = {f"{i},{j}": (i, j) for i, j in itertools.combinations(range(dim + 1), 2)}
 
     def check_keys(path, name, claims):
@@ -1235,7 +1234,7 @@ def _check_certificate(obj: dict, problems: list[str]):
                     box.append((s_lo, s_hi))
                 ends = box if ends is None else [(min(a[0], b[0]), max(a[1], b[1])) for a, b in zip(ends, box)]
         den *= row_den
-        return [IV(Fraction(lo, den) + s.lo, Fraction(hi, den) + s.hi) for (lo, hi), s in zip(ends, shift)]
+        return [Interval(Fraction(lo, den) + s.lo, Fraction(hi, den) + s.hi) for (lo, hi), s in zip(ends, shift)]
 
     def check_node(node, path, parent_box, level):
         comps = node["components"]
@@ -1337,9 +1336,9 @@ class RotationResult:
     failures: list[tuple[str, str]]
 
 
-def default_candidates(d: int, seed: int = 0, count: int = 3, bits: int | None = None):
+def default_candidates(d: int, seed: int = 0, bits: int | None = None):
     cands = [RotationMatrix.identity(d), RotationMatrix.axis_mixing(d, bits)]
-    for i in range(count):
+    for i in range(3):
         cands.append(RotationMatrix.quasi_random(d, seed + i, bits))
     return cands
 
@@ -1393,8 +1392,8 @@ def image_separations(cert: UndCertificate, rows, shift) -> tuple[Fraction, ...]
     """Per-level separation floors after applying an affine map to the
     certified geometry.  Boxes are recomputed exactly from the source cells
     through the map, so the result is again a certified lower bound."""
-    rows = tuple(tuple(_as_iv(e) for e in row) for row in rows)
-    shift = tuple(_as_iv(s) for s in shift)
+    rows = tuple(tuple(_as_interval(e) for e in row) for row in rows)
+    shift = tuple(_as_interval(s) for s in shift)
     d = cert.dimension
 
     def image_bbox(comp: Component):
@@ -1413,8 +1412,8 @@ def image_separations(cert: UndCertificate, rows, shift) -> tuple[Fraction, ...]
             if per_axis is None:
                 per_axis = box
             else:
-                per_axis = [IV(min(a.lo, b.lo), max(a.hi, b.hi)) for a, b in zip(per_axis, box)]
-        return tuple(Interval(v.lo, v.hi) for v in per_axis)
+                per_axis = [Interval(min(a.lo, b.lo), max(a.hi, b.hi)) for a, b in zip(per_axis, box)]
+        return tuple(per_axis)
 
     out = []
     for k in range(1, cert.depth + 1):

@@ -301,10 +301,10 @@ def reference_cover_components(geometry, cells, m, parent_path, bits):
 
 def reference_corner_ratio_scan(cells_a, cells_b, rows, d):
     """Min/max |delta_i|/|delta_j|, i != j, over the corners of every cell
-    pair's difference box, in ``Fraction``s and ``IV``s.
+    pair's difference box, in ``Fraction``s and ``Interval``s.
 
     Cells are per-axis ``(lo, hi)`` rationals and ``rows`` is None or a
-    matrix of ``IV`` entries.  A corner's image on axis i is the interval
+    matrix of ``Interval`` entries.  A corner's image on axis i is the interval
     sum of the entries scaled by the corner.  A cell pair must keep one
     strict sign on every axis at all of its corners, else
     ``DegeneratePair``; then every ordered axis pair gives its own lower
@@ -313,7 +313,7 @@ def reference_corner_ratio_scan(cells_a, cells_b, rows, d):
     ``nested_rd._cell_ratio_bounds`` must return the same pair, or raise on
     the same input.
     """
-    from cantorforge.dyadic import IV
+    from cantorforge.cantor1d import Interval
     from cantorforge.nested_rd import DegeneratePair
 
     if d < 2:
@@ -322,17 +322,17 @@ def reference_corner_ratio_scan(cells_a, cells_b, rows, d):
     hi_best = None
     for cell_a in cells_a:
         for cell_b in cells_b:
-            diff = [IV(a_lo - b_hi, a_hi - b_lo) for (a_lo, a_hi), (b_lo, b_hi) in zip(cell_a, cell_b)]
+            diff = [Interval(a_lo - b_hi, a_hi - b_lo) for (a_lo, a_hi), (b_lo, b_hi) in zip(cell_a, cell_b)]
             images = []
             for corner in product(*((v.lo, v.hi) if v.lo != v.hi else (v.lo,) for v in diff)):
                 if rows is None:
-                    images.append([IV.point(x) for x in corner])
+                    images.append([Interval.point(x) for x in corner])
                     continue
                 image = []
                 for i in range(d):
-                    acc = IV.point(0)
+                    acc = Interval.point(0)
                     for j in range(d):
-                        acc = acc + rows[i][j].scaled(corner[j])
+                        acc = acc + rows[i][j] * Interval.point(corner[j])
                     image.append(acc)
                 images.append(image)
             for axis in range(d):

@@ -192,6 +192,23 @@ def test_config_problems_exit_one(tmp_path, capsys):
     assert "params.margin" in err
 
 
+def test_symmetric_set_kind_builds_the_tree_it_names(tmp_path):
+    # middle thirds to depth 6, written out gap by gap
+    sets = {
+        "thirds": {"kind": "middle-thirds", "depth": 6},
+        "gaps": {"kind": "symmetric", "hull": [0, 1], "gaps": [f"1/{3 ** (n + 1)}" for n in range(6)]},
+    }
+    reports = {}
+    for name, spec in sets.items():
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"pipeline": "companion-1d", "params": {"set": spec, "levels": 6}}))
+        code, blob = run_to(tmp_path, cfg, f"{name}.out.json")
+        assert code == 0
+        reports[name] = json.loads(blob)
+    assert reports["gaps"]["results"] == reports["thirds"]["results"]
+    assert reports["gaps"]["geometry"] == reports["thirds"]["geometry"]
+
+
 def test_dump_intervals_csv(tmp_path):
     config = next(p for p in SCENARIOS if p.stem == "companion_thirds")
     _, blob = run_to(tmp_path, config, "rep.json")
@@ -228,6 +245,11 @@ def test_dump_rejects_mismatched_geometry(tmp_path, capsys):
     code = main(["dump", str(tmp_path / "rep.json"), "--format", "csv-intervals"])
     assert code == 1
     assert "gap-tree" in capsys.readouterr().err
+    # the two CSV formats are the only ones; json is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["dump", str(tmp_path / "rep.json"), "--format", "json"])
+    assert exc.value.code == 1
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_run_scenario_is_importable(tmp_path):

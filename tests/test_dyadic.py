@@ -4,17 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cantorforge.dyadic
 from cantorforge.applications import HSpec, nonlinear_companion
-from cantorforge.cantor1d import Interval, build_binary_ifs
+from cantorforge.cantor1d import Interval, build_binary_ifs, middle_thirds
 from cantorforge.dyadic import (
     DEFAULT_PRECISION_BITS,
-    IV,
     PRECISION_ENV,
     ceil_div,
     floor_div,
     iroot_floor,
     iv_pow,
-    iv_sqrt,
     pow_bounds,
     precision_bits,
     root_bounds,
@@ -22,7 +21,7 @@ from cantorforge.dyadic import (
     round_up,
     sqrt_bounds,
 )
-from cantorforge.nested_rd import RotationMatrix
+from cantorforge.nested_rd import ProductGeometry, RotationMatrix, build_nested_rep, und_certificate
 
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 small_bits = st.integers(min_value=4, max_value=128)
@@ -148,7 +147,7 @@ def test_pow_bounds_exact_cases():
 # ---------------------------------------------------------------------------
 # interval arithmetic
 
-ivs = st.tuples(rationals, rationals).map(lambda p: IV(min(p), max(p)))
+ivs = st.tuples(rationals, rationals).map(lambda p: Interval(min(p), max(p)))
 
 
 def member(iv, data):
@@ -167,39 +166,21 @@ def test_iv_add_sub_mul_contain(a, b, data):
     assert (-a).contains(-x)
 
 
-@given(ivs, ivs, st.data())
-def test_iv_div_contains(a, b, data):
-    if b.lo <= 0 <= b.hi:
-        with pytest.raises(ZeroDivisionError):
-            a / b
-        return
-    x = member(a, data)
-    y = member(b, data)
-    assert (a / b).contains(x / y)
-
-
 def test_iv_validation_and_helpers():
     with pytest.raises(ValueError):
-        IV(Fraction(1), Fraction(0))
-    v = IV(Fraction(-2), Fraction(3))
-    assert v.width == 5
+        Interval(Fraction(1), Fraction(0))
+    v = Interval(Fraction(-2), Fraction(3))
     assert v.midpoint() == Fraction(1, 2)
-    assert v.abs() == IV(Fraction(0), Fraction(3))
-    assert not v.strictly_positive()
-    assert not v.sign_definite()
-    assert IV.point(Fraction(2, 7)).width == 0
-    assert IV.point("1/3") == IV(Fraction(1, 3), Fraction(1, 3))
+    assert v.abs() == Interval(Fraction(0), Fraction(3))
+    assert (-v).abs() == Interval(Fraction(0), Fraction(3))
+    assert Interval(Fraction(-3), Fraction(-1)).abs() == Interval(Fraction(1), Fraction(3))
+    assert Interval.point(Fraction(2, 7)).length == 0
+    assert Interval.point("1/3") == Interval(Fraction(1, 3), Fraction(1, 3))
+    assert type(Interval.point(2).lo) is Fraction
     with pytest.raises(TypeError, match="refusing float input"):
-        IV.point(0.1)
-
-
-@given(st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=10**4),
-       st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=10**4))
-def test_iv_sqrt_contains_true_root(a, b):
-    lo, hi = min(a, b), max(a, b)
-    v = iv_sqrt(IV(lo, hi), 64)
-    # sqrt is monotone, so checking both endpoints suffices
-    assert v.lo * v.lo <= lo and hi <= v.hi * v.hi
+        Interval.point(0.1)
+    with pytest.raises(TypeError, match="refusing float input"):
+        Interval(Fraction(0), 0.5)
 
 
 @settings(max_examples=40)
@@ -210,7 +191,7 @@ def test_iv_sqrt_contains_true_root(a, b):
 )
 def test_iv_pow_encloses_endpoint_powers(a, b, e):
     lo, hi = min(a, b), max(a, b)
-    v = iv_pow(IV(lo, hi), e, 64)
+    v = iv_pow(Interval(lo, hi), e, 64)
     # x**e lands in [v.lo, v.hi] iff x**p lands in [v.lo**q, v.hi**q]; the
     # interval is positive, so raising to q keeps the ordering exact
     p, q = e.numerator, e.denominator
@@ -240,3 +221,24 @@ def test_library_calls_without_bits_ignore_the_environment(monkeypatch):
     implicit = nonlinear_companion(k1, spec, alpha, c_box)
     explicit = nonlinear_companion(k1, spec, alpha, c_box, bits=64)
     assert implicit.to_json_obj() == explicit.to_json_obj()
+
+
+def test_every_closed_interval_is_an_interval():
+    # dyadic keeps root and power enclosures only; the interval type is one
+    assert not hasattr(cantorforge.dyadic, "IV")
+    geom = ProductGeometry(
+        [middle_thirds(10), middle_thirds(10)],
+        matrix=RotationMatrix.axis_mixing(2),
+        shift=(Fraction(3), Interval(Fraction(-2), Fraction(-2))),
+    )
+    rep = build_nested_rep(geom, 2, 9, refine_step=3)
+    cert = und_certificate(rep, max_k=2, depth=2)
+    spec = HSpec("alpha-norm", Interval(Fraction(2), Fraction(2)), Interval(Fraction(1, 2), Fraction(3, 4)))
+    values = [
+        *rep.exact_hull,
+        *cert.root.components[0].bbox,
+        *(e for row in geom.matrix.rows for e in row),
+        *cert.shift,
+        spec.slice_point(Fraction(2), Fraction(1), Fraction(3, 5), 64),
+    ]
+    assert all(type(v) is Interval for v in values)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cantorforge.dyadic import IV
+from cantorforge.cantor1d import Interval
 from cantorforge.nested_rd import ProductGeometry, RotationMatrix, build_nested_rep
 from test_product_cover import factors
 
@@ -38,7 +38,7 @@ shifts = st.one_of(
     st.just(Fraction(0)),
     small,
     st.tuples(small, st.fractions(min_value=0, max_value=1, max_denominator=5)).map(
-        lambda t: IV(t[0], t[0] + t[1])
+        lambda t: Interval(t[0], t[0] + t[1])
     ),
 )
 

@@ -1,10 +1,10 @@
-"""The integer corner scan against the Fraction/IV reference.
+"""The integer corner scan against the Fraction/Interval reference.
 
 ``nested_rd._cell_ratio_bounds`` puts cell endpoints and matrix entries over
 two common denominators and scans corners on their integer numerators.
 ``oracles.reference_corner_ratio_scan`` scans the same corners with
-``IV`` products and ``Fraction`` divisions.  Both must give the same ratio
-bounds, or both must find a cell pair whose signs are not pinned, or
+``Interval`` products and ``Fraction`` divisions.  Both must give the same
+ratio bounds, or both must find a cell pair whose signs are not pinned, or
 both must refuse a one-axis scan.
 """
 
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from cantorforge.dyadic import IV
+from cantorforge.cantor1d import Interval
 from cantorforge.nested_rd import DegeneratePair, RotationMatrix, _cell_ratio_bounds
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=6)
@@ -31,7 +31,7 @@ def matrices(d: int):
             lambda rows: RotationMatrix("rational", rows).rows
         ),
         st.lists(st.lists(interval_entries, min_size=d, max_size=d), min_size=d, max_size=d).map(
-            lambda rows: tuple(tuple(IV(a, a + w) for a, w in row) for row in rows)
+            lambda rows: tuple(tuple(Interval(a, a + w) for a, w in row) for row in rows)
         ),
         st.sampled_from([4, 64]).map(lambda bits: RotationMatrix.axis_mixing(d, bits).rows),
         st.tuples(st.integers(min_value=0, max_value=20), st.sampled_from([4, 64])).map(
@@ -77,7 +77,7 @@ half = Fraction(1, 2)
 @example(([[(0, 1), (1, 2)]], [[(-3, -2), (0, 1)]], None, 2))
 @example(([[(0, 1), (1, 2)]], [[(-3, -2), (0, 1)]], RotationMatrix.identity(2).rows, 2))
 # a point factor and a map with negative and zero entries
-@example(([[(half, half), (0, 1)]], [[(3, 3), (-4, -3)]], ((IV.point(-1), IV.point(0)), (IV.point(2), IV.point(1))), 2))
+@example(([[(half, half), (0, 1)]], [[(3, 3), (-4, -3)]], ((Interval.point(-1), Interval.point(0)), (Interval.point(2), Interval.point(1))), 2))
 def test_integer_scan_matches_the_reference(case):
     assert outcome(_cell_ratio_bounds, *case) == outcome(oracles.reference_corner_ratio_scan, *case)
 
