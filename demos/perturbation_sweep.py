@@ -13,7 +13,7 @@ from cantorforge import (
     Interval,
     PerturbationSpec,
     build_companion,
-    dominance_slack,
+    check_dominance,
     middle_thirds,
     robustness_sweep,
 )
@@ -21,7 +21,7 @@ from cantorforge import (
 k = middle_thirds(20)
 kt = build_companion(k, 20, Fraction(1, 10), Fraction(1, 2))
 
-slack = dominance_slack(k, kt, 20)
+slack = check_dominance(k, kt, 20).slack
 print(f"certified scaling slack: {slack}")
 
 pert = PerturbationSpec(

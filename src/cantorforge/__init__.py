@@ -38,7 +38,6 @@ from .containment1d import (
     build_companion,
     certify_difference_interior,
     check_dominance,
-    dominance_slack,
     find_chain,
     grid_values,
     robustness_sweep,

@@ -28,10 +28,11 @@ from .cantor1d import (
 )
 from .containment1d import (
     ChainBroken,
+    DominanceNotVerified,
     build_companion,
+    capped_companion,
     certify_difference_interior,
     check_dominance,
-    dominance_slack,
     find_chain,
     grid_values,
 )
@@ -44,7 +45,6 @@ __all__ = [
     "InteriorPoint",
     "InteriorReport",
     "DistanceDemoReport",
-    "ObstructionSet",
     "MapRecord",
     "ObstructionReport",
     "SignNotDefinite",
@@ -284,15 +284,7 @@ def nonlinear_companion(
     shrink = as_rat(shrink)
     if not Fraction(0) < shrink < 1:
         raise ValueError("shrink must lie strictly between 0 and 1")
-    gaps = []
-    length = hull.length
-    for n in range(depth):
-        want = shrink * data.lower * k1.level_min_gap(n)
-        cap = length / 2
-        g = want if want < cap else cap
-        gaps.append(g)
-        length = (length - g) / 2
-    return SymmetricGapTree(hull, tuple(gaps))
+    return capped_companion(hull, [shrink * data.lower * k1.level_min_gap(n) for n in range(depth)])
 
 
 @dataclass(frozen=True)
@@ -384,13 +376,12 @@ def verify_H_interior(
     def run_point(pair):
         c, lam = pair
         image = MonotoneImageTree(k1, spec, lam, c, data, bits)
-        report = check_dominance(image, k2, levels)
-        if not report.overall:
-            bad = [r.level for r in report.levels if not r.passed]
-            why = "hull" if not report.hull_contained else f"dominance-{bad[0]}"
-            return InteriorPoint(c, lam, False, why, None, None, None, None)
         try:
             chain = find_chain(image, k2, levels)
+        except DominanceNotVerified as exc:
+            bad = [r.level for r in exc.report.levels if not r.passed]
+            why = f"dominance-{bad[0]}" if exc.report.hull_contained else "hull"
+            return InteriorPoint(c, lam, False, why, None, None, None, None)
         except ChainBroken as exc:
             return InteriorPoint(c, lam, False, f"chain-broken-{exc.level}", None, None, None, None)
         addr_img, addr_k2 = chain.final_addresses
@@ -523,24 +514,6 @@ def pinned_distance_demo(
 
 
 @dataclass(frozen=True)
-class ObstructionSet:
-    """Translates of one companion tree tiling a window."""
-
-    companion: SymmetricGapTree
-    spacing: Fraction
-    window: Interval
-    k_lo: int
-    k_hi: int
-
-    @property
-    def translate_count(self) -> int:
-        return self.k_hi - self.k_lo + 1
-
-    def translate(self, index: int) -> SymmetricGapTree:
-        return affine_image(self.companion, Fraction(1), index * self.spacing)
-
-
-@dataclass(frozen=True)
 class MapRecord:
     lam: Fraction
     t: Fraction
@@ -601,21 +574,24 @@ def erdos_obstruction(
     margin=Fraction(1, 10),
     factor=Fraction(1, 2),
 ) -> ObstructionReport:
-    """One bounded set meeting every in-slack affine copy of k in a window.
+    """A bounded set meant to meet every in-slack affine copy of k in a window.
 
     The obstruction is a grid of translates of k's companion spaced by the
-    certified difference-interval length, so consecutive translates leave
-    no uncovered offsets: for any map x -> lam*x + t with 1/slack < |lam|
-    < slack, some translate admits a containment chain against the moved
-    tree, pinning an intersection point.  Maps outside the slack bounds
-    and maps whose image escapes the window are both rejected upfront
-    with FamilyOutOfSlack.
+    certified difference-interval length, |khat.hull| - |k.hull|.  That
+    spacing leaves no uncovered offsets only for maps x -> lam*x + t with
+    1/slack < |lam| <= 1: for those, some translate admits a containment
+    chain against the moved tree, pinning an intersection point.  For
+    1 < |lam| < slack the moved hull is longer than k's, consecutive
+    translates can leave holes, and such a map may end with the reason
+    ``no-translate-in-window``.  Maps outside the slack bounds and maps
+    whose image escapes the window are both rejected upfront with
+    FamilyOutOfSlack.
     """
     family = [(as_rat(l), as_rat(t)) for l, t in family]
     khat = build_companion(k, levels, margin=margin, factor=factor)
     certified = certify_difference_interior(k, khat, levels)
     spacing = certified.length
-    slack = dominance_slack(k, khat, levels)
+    slack = check_dominance(k, khat, levels).slack
 
     def image_hull(lam: Fraction, t: Fraction) -> tuple[Fraction, Fraction]:
         a, b = lam * k.hull.lo + t, lam * k.hull.hi + t
@@ -638,7 +614,6 @@ def erdos_obstruction(
     k_lo, k_hi = int(k_lo), int(k_hi)
     if k_lo > k_hi:
         raise ValueError("window cannot hold a single companion translate")
-    obstruction = ObstructionSet(khat, spacing, window, k_lo, k_hi)
 
     def run_map(pair):
         lam, t = pair
@@ -649,12 +624,11 @@ def erdos_obstruction(
         i = max(i_lo, k_lo)
         if i > min(i_hi, k_hi):
             return MapRecord(lam, t, False, None, "no-translate-in-window", None, None, None)
-        target = obstruction.translate(i)
-        report = check_dominance(moved, target, levels)
-        if not report.overall:
-            return MapRecord(lam, t, False, i, "dominance", None, None, None)
+        target = affine_image(khat, Fraction(1), i * spacing)
         try:
             chain = find_chain(moved, target, levels)
+        except DominanceNotVerified:
+            return MapRecord(lam, t, False, i, "dominance", None, None, None)
         except ChainBroken as exc:
             return MapRecord(lam, t, False, i, f"chain-broken-{exc.level}", None, None, None)
         return MapRecord(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -40,7 +39,6 @@ from .containment1d import (
     build_companion,
     certify_difference_interior,
     check_dominance,
-    dominance_slack,
     find_chain,
     grid_values,
     robustness_sweep,
@@ -60,7 +58,7 @@ from .containment_rd import (
     separation_sequence,
 )
 from .applications import erdos_obstruction, pinned_distance_demo
-from .dyadic import PRECISION_ENV, precision_bits
+from .dyadic import precision_bits
 
 __all__ = ["ConfigError", "KindMismatch", "run_scenario", "emit_geometry", "main"]
 
@@ -228,7 +226,7 @@ def _pipe_companion_1d(params, ctx):
         results["chain"] = chain.to_json_obj()
         interior = certify_difference_interior(k, kt, levels)
         results["interior"] = _interval_pair(interior)
-        results["slack_lambda"] = rat_pair(dominance_slack(k, kt, levels))
+        results["slack_lambda"] = rat_pair(dom.slack)
     return results, kt.to_json_obj(), ok
 
 
@@ -437,8 +435,8 @@ def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False,
     """Execute one scenario; returns (report dict, exit code).
 
     ``threads`` is accepted and ignored; every map runs serially.  The
-    precision is ``bits``, else the config's ``precision_bits``, else the
-    ``CANTOR_FORGE_PRECISION_BITS`` environment variable, else 64.
+    precision is ``bits``, else the config's ``precision_bits``, else 64;
+    the process environment is not read.
     """
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -459,8 +457,6 @@ def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False,
     # Checked before the pipeline, so a bad value is a ConfigError (exit 1).
     if bits is None:
         bits = config.get("precision_bits")
-    if bits is None:
-        bits = os.environ.get(PRECISION_ENV)
     try:
         eff_bits = precision_bits(bits)
     except (TypeError, ValueError) as exc:

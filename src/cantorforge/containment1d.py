@@ -61,6 +61,16 @@ class DominanceReport:
     levels: tuple[LevelRecord, ...]
     overall: bool
 
+    @property
+    def slack(self) -> Fraction:
+        """Largest scale the companion tolerates before some gap draws level.
+
+        Scaling kt by lambda scales all its gaps by |lambda|, so dominance at
+        level n survives exactly while |lambda| < min_gap_k / max_gap_kt
+        there.  This is the exact minimum of those ratios.
+        """
+        return min(rec.min_gap_k / rec.max_gap_kt for rec in self.levels)
+
     def to_json_obj(self) -> dict:
         return {
             "hull_contained": self.hull_contained,
@@ -127,6 +137,8 @@ def find_chain(k: GapTree, kt: GapTree, levels: int) -> WitnessChain:
     side; the other side's child of k clears it.  When both sides are clear
     we take the left branch.  The witnesses are the midpoints of the final
     intervals and the bound is the final companion interval length.
+    This is the one dominance gate of a trial: a failed check raises
+    DominanceNotVerified, whose ``report`` names what failed.
 
     The walk carries ``(addr, lo, hi)`` of the held node of each tree from
     ``interval("")`` down and splits it with ``split_interval``, so a step
@@ -181,12 +193,21 @@ def build_companion(
     if depth < 1 or depth > k.depth:
         raise LevelOutOfRange(depth, k.depth)
     hull = Interval(k.hull.lo - margin, k.hull.hi + margin)
+    return capped_companion(hull, [factor * k.level_min_gap(n) for n in range(depth)])
+
+
+def capped_companion(hull: Interval, wants) -> SymmetricGapTree:
+    """Symmetric tree on ``hull`` whose level-n gap is min(want_n, L_n / 2).
+
+    L_n is the length of a level-n interval, so a capped gap always leaves
+    two children of non-negative length.
+    """
     level_len = hull.length
     gaps = []
-    for n in range(depth):
-        want = min(factor * k.level_min_gap(n), level_len / 2)
-        gaps.append(want)
-        level_len = (level_len - want) / 2
+    for want in wants:
+        gap = min(want, level_len / 2)
+        gaps.append(gap)
+        level_len = (level_len - gap) / 2
     return SymmetricGapTree(hull, tuple(gaps))
 
 
@@ -221,12 +242,6 @@ class PerturbationSpec:
     def __post_init__(self):
         if self.lambda_count < 1 or self.t_count < 1:
             raise ValueError("grid counts must be at least 1")
-
-    def lambda_values(self):
-        return grid_values(self.lambda_range, self.lambda_count)
-
-    def t_values(self):
-        return grid_values(self.t_range, self.t_count)
 
 
 def grid_values(rng: Interval, count: int) -> list[Fraction]:
@@ -269,18 +284,6 @@ class SweepReport:
         }
 
 
-def dominance_slack(k: GapTree, kt: GapTree, levels: int) -> Fraction:
-    """Largest scale the companion tolerates before some gap draws level.
-
-    Scaling kt by lambda scales all its gaps by |lambda|, so dominance at
-    level n survives exactly while |lambda| < min_gap_k / max_gap_kt there.
-    The returned value is the exact minimum of those ratios.
-    """
-    if levels < 1 or levels > min(k.depth, kt.depth):
-        raise LevelOutOfRange(levels, min(k.depth, kt.depth))
-    return min(k.level_min_gap(n) / kt.level_max_gap(n) for n in range(levels))
-
-
 def robustness_sweep(
     k: GapTree,
     kt: GapTree,
@@ -292,20 +295,21 @@ def robustness_sweep(
     Points are visited lambda-major, t-minor, and results keep that order.
     Failures are recorded per point.
     """
-    slack = dominance_slack(k, kt, levels)
-    combos = [(lam, t) for lam in pert.lambda_values() for t in pert.t_values()]
+    slack = check_dominance(k, kt, levels).slack
+    lam_values = grid_values(pert.lambda_range, pert.lambda_count)
+    t_values = grid_values(pert.t_range, pert.t_count)
+    combos = [(lam, t) for lam in lam_values for t in t_values]
 
     def run_point(combo):
         lam, t = combo
         if lam == 0:
             return SweepPoint(lam, t, False, None, "zero-scale")
         moved = affine_image(kt, lam, t)
-        report = check_dominance(k, moved, levels)
-        if not report.overall:
-            reason = "hull" if not report.hull_contained else "dominance"
-            return SweepPoint(lam, t, False, None, reason)
         try:
             chain = find_chain(k, moved, levels)
+        except DominanceNotVerified as exc:
+            reason = "dominance" if exc.report.hull_contained else "hull"
+            return SweepPoint(lam, t, False, None, reason)
         except ChainBroken as exc:
             return SweepPoint(lam, t, False, None, f"chain-broken-{exc.level}")
         return SweepPoint(lam, t, True, chain.bound, None)

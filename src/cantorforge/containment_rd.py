@@ -172,6 +172,16 @@ class ChainRd:
         }
 
 
+def _require_gaps_below_floors(companion: ProductCompanion, dk, levels: int):
+    """Raise InfeasibleGaps unless each of the first ``levels`` stage gaps
+    lies strictly below its separation floor, which the chain needs."""
+    for n in range(levels):
+        if companion.base.gap_lengths[n] >= dk[n]:
+            raise InfeasibleGaps(
+                f"stage-{n + 1} gap is not below the certified separation floor"
+            )
+
+
 def find_chain_rd(
     cert: UndCertificate,
     companion: ProductCompanion,
@@ -192,12 +202,7 @@ def find_chain_rd(
         raise ValueError("companion dimension does not match the certificate")
     if levels < 1 or levels > cert.depth or levels > companion.base.depth:
         raise ValueError(f"cannot chain {levels} levels with this certificate/companion")
-    dk = cert.dk
-    for n in range(levels):
-        if companion.base.gap_lengths[n] >= dk[n]:
-            raise InfeasibleGaps(
-                f"stage-{n + 1} gap is not below the certified separation floor"
-            )
+    _require_gaps_below_floors(companion, cert.dk, levels)
     t = tuple(as_rat(x) for x in translate) if translate is not None else (Fraction(0),) * d
     base = companion.base
     cell = tuple(
@@ -280,11 +285,7 @@ def certify_sum_interior_rd(
     dk = cert.dk
     if levels < 1 or levels > len(dk) or levels > companion.base.depth:
         raise ValueError(f"cannot certify {levels} levels with this certificate/companion")
-    for n in range(levels):
-        if companion.base.gap_lengths[n] >= dk[n]:
-            raise InfeasibleGaps(
-                f"stage-{n + 1} gap is not below the certified separation floor"
-            )
+    _require_gaps_below_floors(companion, dk, levels)
     # Per-axis exact hull of the geometry the certificate talks about.
     hull = cert.root.components[0].rep.exact_hull
     interval = companion.interval

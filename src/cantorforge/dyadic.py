@@ -7,10 +7,10 @@ box endpoints stay small.  All rounding here is outward: lower bounds round
 down, upper bounds round up, so enclosures computed downstream are sound.
 
 The grid resolution is ``2**-bits``.  Library calls take ``bits`` as an
-argument and default to 64; nothing here reads the process environment.
-``cantor-forge run`` resolves ``bits`` once per scenario, in this order:
-``--precision-bits``, the config's ``precision_bits`` field, the
-``CANTOR_FORGE_PRECISION_BITS`` environment variable, then 64.
+argument and default to 64; no module of the package reads the process
+environment.  ``cantor-forge run`` resolves ``bits`` once per scenario, in
+this order: ``--precision-bits``, the config's ``precision_bits`` field,
+then 64.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from fractions import Fraction
 from .cantor1d import Interval
 
 DEFAULT_PRECISION_BITS = 64
-PRECISION_ENV = "CANTOR_FORGE_PRECISION_BITS"
 
 Rat = Fraction
 

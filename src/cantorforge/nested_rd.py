@@ -1071,28 +1071,25 @@ def und_certificate(
     kappa=None,
     max_k: int = 2,
     depth: int = 1,
-    margin=DEFAULT_SEPARATION_MARGIN,
     keep_cells: bool = True,
 ) -> UndCertificate:
     """Search for a nested separated selection of arity dim+1.
 
     At each node the search looks among descendants 1, 2, ..., max_k
     refinement steps down for dim+1 components pairwise separated by at
-    least ``margin`` on every axis (kappa-comparable too when ``kappa`` is
-    given), then recurses into each selected component.  ``keep_cells=False``
-    releases cell-level data as the search retreats, which keeps deep
-    certificates in tens of megabytes instead of gigabytes; stripped
-    certificates still chain and report separations but cannot be exported
-    with their cells.
+    least ``DEFAULT_SEPARATION_MARGIN`` on every axis (kappa-comparable too
+    when ``kappa`` is given), then recurses into each selected component.
+    ``keep_cells=False`` releases cell-level data as the search retreats,
+    which keeps deep certificates in tens of megabytes instead of gigabytes;
+    stripped certificates still chain and report separations but cannot be
+    exported with their cells.
     """
     if depth < 1:
         raise ValueError("certificate depth must be at least 1")
     kappa = as_rat(kappa) if kappa is not None else None
     if kappa is not None and rep.dim < 2:
         raise ValueError("kappa needs at least two axes")
-    margin = as_rat(margin)
-    if margin <= 0:
-        raise ValueError("separation margin must be positive")
+    margin = DEFAULT_SEPARATION_MARGIN
     dim = rep.dim
     need = dim + 1
 
@@ -1160,7 +1157,8 @@ def dk_sequence(cert: UndCertificate) -> tuple[Fraction, ...]:
 def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     """Re-check an exported certificate from its own data alone.
 
-    The shape is checked too: every node holds dim+1 components, its ``dmin``
+    The shape is checked too: every node holds dim+1 components at one
+    cover ``level``, above the level of its parent node, its ``dmin``
     (and its ``ratios`` when kappa is set) has one key ``"i,j"`` for each
     pair of components i < j and no other, and every node above the
     declared depth has dim+1 children while the leaves have none.
@@ -1236,11 +1234,17 @@ def _check_certificate(obj: dict, problems: list[str]):
         den *= row_den
         return [Interval(Fraction(lo, den) + s.lo, Fraction(hi, den) + s.hi) for (lo, hi), s in zip(ends, shift)]
 
-    def check_node(node, path, parent_box, level):
+    def check_node(node, path, parent_box, parent_level, level):
         comps = node["components"]
         if len(comps) != dim + 1:
             problems.append(f"{path}: expected {dim + 1} components, found {len(comps)}")
             return
+        cover_levels = sorted({int(comp["level"]) for comp in comps})
+        if len(cover_levels) != 1:
+            problems.append(f"{path}: components sit at levels {cover_levels}, not at one level")
+        cover_level = cover_levels[-1]
+        if parent_level is not None and cover_levels[0] <= parent_level:
+            problems.append(f"{path}: level {cover_levels[0]} is not above the parent level {parent_level}")
         den, cells = _integer_cells([_parse_cells(comp["source_cells"], dim) for comp in comps])
         hulls = [image_hull(c, den) for c in cells]
         for idx, (comp, hull) in enumerate(zip(comps, hulls)):
@@ -1303,9 +1307,9 @@ def _check_certificate(obj: dict, problems: list[str]):
             )
             return
         for idx, child in enumerate(children):
-            check_node(child, f"{path}.{idx}", hulls[idx], level + 1)
+            check_node(child, f"{path}.{idx}", hulls[idx], cover_level, level + 1)
 
-    check_node(obj["root"], "root", None, 1)
+    check_node(obj["root"], "root", None, None, 1)
 
 
 def _parse_cells(source_cells, dim: int | None = None) -> list[list[tuple[Fraction, Fraction]]]:
@@ -1345,7 +1349,6 @@ def default_candidates(d: int, seed: int = 0, bits: int | None = None):
 
 def rotation_search(
     geometry: ProductGeometry,
-    candidates=None,
     kappa=None,
     max_k: int = 2,
     depth: int = 1,
@@ -1354,21 +1357,19 @@ def rotation_search(
     max_level: int,
     refine_step: int = 2,
     bits: int | None = None,
-    margin=DEFAULT_SEPARATION_MARGIN,
-    ortho_tol=DEFAULT_SEPARATION_MARGIN,
     seed: int = 0,
 ) -> RotationResult:
-    """Try rotation candidates in order until one admits a certificate.
+    """Try the ``default_candidates`` rotations in order until one admits a
+    certificate.
 
-    Candidates whose verified orthogonality defect exceeds ``ortho_tol``
-    are rejected without being tried.  First success wins; if none works
-    the per-candidate failure reasons travel with the exception.
+    Candidates whose verified orthogonality defect exceeds
+    ``DEFAULT_SEPARATION_MARGIN`` are rejected without being tried.  First
+    success wins; if none works the per-candidate failure reasons travel
+    with the exception.
     """
-    if candidates is None:
-        candidates = default_candidates(geometry.dim, seed=seed, bits=bits)
     failures: list[tuple[str, str]] = []
-    for index, cand in enumerate(candidates):
-        if cand.defect > ortho_tol:
+    for index, cand in enumerate(default_candidates(geometry.dim, seed=seed, bits=bits)):
+        if cand.defect > DEFAULT_SEPARATION_MARGIN:
             failures.append(
                 (cand.name, f"orthogonality defect {float(cand.defect):.3e} above tolerance")
             )
@@ -1376,7 +1377,7 @@ def rotation_search(
         rotated = geometry.with_matrix(cand)
         try:
             rep = build_nested_rep(rotated, m0, max_level, refine_step, bits)
-            cert = und_certificate(rep, kappa, max_k, depth, margin)
+            cert = und_certificate(rep, kappa, max_k, depth)
         except (CertificateNotFound, DegeneratePair, EmptyGeometry) as exc:
             failures.append((cand.name, str(exc)))
             continue

@@ -30,7 +30,6 @@ from cantorforge import (
     certify_sum_interior_rd,
     check_dominance,
     derivative_bound,
-    dominance_slack,
     erdos_obstruction,
     find_chain,
     find_chain_rd,
@@ -84,7 +83,7 @@ def test_difference_interior_thousand_translates_with_minkowski_oracle():
 def test_perturbation_sweep_full_grid_passes():
     k = middle_thirds(20)
     kt = build_companion(k, 20, Fraction(1, 10), Fraction(1, 2))
-    assert dominance_slack(k, kt, 20) == 2
+    assert check_dominance(k, kt, 20).slack == 2
     pert = PerturbationSpec(
         Interval(Fraction(19, 20), Fraction(21, 20)),
         Interval(Fraction(-1, 25), Fraction(1, 25)),

@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 from cantorforge.cli import _build_geometry, emit_geometry, main, run_scenario
-from cantorforge.dyadic import PRECISION_ENV
 from cantorforge.nested_rd import RotationMatrix
 
+# Older versions read the precision from this variable; it must change nothing.
+PRECISION_ENV = "CANTOR_FORGE_PRECISION_BITS"
 SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "demos" / "scenarios").glob("*.json"))
 
 
@@ -77,14 +78,15 @@ def _distance_config(tmp_path, name, **fields):
 
 @pytest.mark.parametrize(
     "flag, field, expected",
-    [(None, None, 96), ("32", None, 32), (None, 80, 80)],
+    [(None, None, 64), ("32", None, 32), (None, 80, 80)],
     ids=["env-alone", "flag-beats-env", "config-beats-env"],
 )
 def test_precision_precedence_through_main(tmp_path, monkeypatch, flag, field, expected):
+    # the order is flag, then config field, then 64; a set variable is ignored
     monkeypatch.delenv(PRECISION_ENV, raising=False)
     plain = _distance_config(tmp_path, "plain.json")
     _, direct = run_to(tmp_path, plain, "direct.json", extra=("--precision-bits", str(expected)))
-    _, default = run_to(tmp_path, plain, "default.json")
+    _, at_env = run_to(tmp_path, plain, "at_env.json", extra=("--precision-bits", "96"))
 
     monkeypatch.setenv(PRECISION_ENV, "96")
     cfg = plain if field is None else _distance_config(tmp_path, "field.json", precision_bits=field)
@@ -94,23 +96,24 @@ def test_precision_precedence_through_main(tmp_path, monkeypatch, flag, field, e
     assert report["precision_bits"] == expected
     # the resolved precision is the one the pipeline computed with
     assert report["results"] == json.loads(direct)["results"]
-    assert report["results"] != json.loads(default)["results"]
+    assert report["results"] != json.loads(at_env)["results"]
 
 
-def test_precision_below_one_bit_in_the_environment_is_a_config_error(tmp_path, monkeypatch, capsys):
+def test_precision_below_one_bit_in_the_environment_is_ignored(tmp_path, monkeypatch):
+    cfg = _distance_config(tmp_path, "d.json")
+    _, plain = run_to(tmp_path, cfg, "plain.json")
     monkeypatch.setenv(PRECISION_ENV, "0")
-    out = tmp_path / "rep.json"
-    assert main(["run", str(_distance_config(tmp_path, "d.json")), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert "precision_bits" in err
-    assert not out.exists()
+    code, blob = run_to(tmp_path, cfg, "rep.json")
+    assert code == 0
+    assert json.loads(blob)["precision_bits"] == 64
+    assert blob == plain
 
 
 def test_only_the_cli_reads_the_environment():
+    # no module reads the environment, the CLI included
     src = Path(__file__).resolve().parents[1] / "src" / "cantorforge"
     readers = sorted(p.name for p in src.glob("*.py") if "os.environ" in p.read_text())
-    assert readers == ["cli.py"]
+    assert readers == []
 
 
 @pytest.mark.parametrize("bits", ["0", "-1"])
@@ -299,6 +302,29 @@ def test_verify_rejects_a_duplicated_component(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(tampered)]) == 2
     assert "root: dmin keys are not the component pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "node_path, level, message",
+    [
+        ((), 77, "root: components sit at levels"),
+        ((0,), 1, "root.0: level 1 is not above the parent level"),
+    ],
+    ids=["mixed-levels", "not-below-parent"],
+)
+def test_verify_rejects_a_tampered_level(tmp_path, capsys, node_path, level, message):
+    config = next(p for p in SCENARIOS if p.stem == "nondegeneracy_square")
+    run_to(tmp_path, config, "rep.json")
+    report = json.loads((tmp_path / "rep.json").read_text())
+    node = report["results"]["certificate"]["root"]
+    for idx in node_path:
+        node = node["children"][idx]
+    node["components"][1]["level"] = level
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_verify_needs_a_certificate_in_valid_json(tmp_path, capsys):

@@ -18,7 +18,6 @@ from cantorforge.containment1d import (
     build_companion,
     certify_difference_interior,
     check_dominance,
-    dominance_slack,
     find_chain,
     grid_values,
     robustness_sweep,
@@ -105,7 +104,7 @@ def test_interior_needs_margin(thirds20, thirds_companion):
 
 
 def test_slack_is_two(thirds20, thirds_companion):
-    assert dominance_slack(thirds20, thirds_companion, 20) == 2
+    assert check_dominance(thirds20, thirds_companion, 20).slack == 2
 
 
 @settings(max_examples=50)

@@ -9,7 +9,6 @@ from cantorforge.applications import HSpec, nonlinear_companion
 from cantorforge.cantor1d import Interval, build_binary_ifs, middle_thirds
 from cantorforge.dyadic import (
     DEFAULT_PRECISION_BITS,
-    PRECISION_ENV,
     ceil_div,
     floor_div,
     iroot_floor,
@@ -23,6 +22,8 @@ from cantorforge.dyadic import (
 )
 from cantorforge.nested_rd import ProductGeometry, RotationMatrix, build_nested_rep, und_certificate
 
+# Older versions read the precision from this variable; it must change nothing.
+PRECISION_ENV = "CANTOR_FORGE_PRECISION_BITS"
 rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
 small_bits = st.integers(min_value=4, max_value=128)
 
