@@ -16,7 +16,6 @@ from cantorforge import (
     certify_sum_interior_rd,
     find_chain_rd,
     middle_thirds,
-    separation_sequence,
     und_certificate,
 )
 
@@ -24,8 +23,7 @@ geom = ProductGeometry([middle_thirds(8), middle_thirds(8)])
 rep = build_nested_rep(geom, 2, 11, refine_step=3)
 cert = und_certificate(rep, kappa=9, max_k=2, depth=3)
 
-seps = separation_sequence(cert)
-companion = build_product_companion(rep.exact_hull, seps, Fraction(1, 2), Fraction(1, 10))
+companion = build_product_companion(rep.exact_hull, cert.dk, Fraction(1, 2), Fraction(1, 10))
 hull = companion.base.hull
 print(f"companion hull per axis: [{hull.lo}, {hull.hi}]")
 print(f"companion gaps: {[str(g) for g in companion.base.gap_lengths]}")

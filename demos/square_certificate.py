@@ -18,14 +18,14 @@ from cantorforge import (
     rotation_search,
     und_certificate,
 )
-from cantorforge.nested_rd import CertificateNotFound, dk_sequence
+from cantorforge.nested_rd import CertificateNotFound
 
 square = ProductGeometry([middle_thirds(8), middle_thirds(8)])
 rep = build_nested_rep(square, 2, 11, refine_step=3)
 cert = und_certificate(rep, kappa=9, max_k=2, depth=3)
 
 print("square of middle-thirds sets:")
-for level, d in enumerate(dk_sequence(cert), start=1):
+for level, d in enumerate(cert.dk, start=1):
     print(f"  level {level}: separation floor {d} (= 9^-{level}: {d == Fraction(1, 9**level)})")
 
 line = ProductGeometry([middle_thirds(8), Fraction(0)])

@@ -7,23 +7,17 @@ rounding where roots are unavoidable.  See the README for a tour.
 from .cantor1d import (
     CantorForgeError,
     GapConstraintViolation,
-    GapStats,
     GapTree,
     Interval,
     InvalidRatio,
     LevelOutOfRange,
-    MeasureBounds,
     SymmetricGapTree,
     ZeroScale,
     affine_image,
     as_rat,
     build_binary_ifs,
     canonical_json,
-    gap_stats,
-    measure_bounds,
     middle_thirds,
-    tree_from_gap_list,
-    tree_from_json,
     tree_from_json_obj,
     write_intervals_csv,
 )
@@ -58,7 +52,6 @@ from .nested_rd import (
     components_at,
     d_min,
     default_candidates,
-    dk_sequence,
     image_separations,
     kappa_ratios,
     rotation_search,
@@ -69,12 +62,10 @@ from .containment_rd import (
     ChainRd,
     InfeasibleGaps,
     ProductCompanion,
-    SeparationSequence,
     SlitBlocked,
     build_product_companion,
     certify_sum_interior_rd,
     find_chain_rd,
-    separation_sequence,
 )
 from .applications import (
     DistanceDemoReport,

@@ -210,15 +210,13 @@ class MonotoneImageTree(GapTree):
             iv = self._slices[x] = self.spec.slice_point(self.lam, self.c, x, self.bits)
         return iv
 
-    def _map_outward(self, iv: Interval) -> Interval:
-        a = self.spec.slice_point(self.lam, self.c, iv.lo, self.bits)
-        b = self.spec.slice_point(self.lam, self.c, iv.hi, self.bits)
-        return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
-
     def interval(self, addr: str) -> Interval:
         if len(addr) > self.depth:
             raise LevelOutOfRange(len(addr), self.depth)
-        return self._map_outward(self.base.interval(self._base_addr(addr)))
+        iv = self.base.interval(self._base_addr(addr))
+        a = self._slice(iv.lo)
+        b = self._slice(iv.hi)
+        return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
 
     def split_interval(self, addr: str, lo: Fraction, hi: Fraction):
         # lo and hi follow from the base node, which is looked up instead.
@@ -241,8 +239,8 @@ class MonotoneImageTree(GapTree):
     def gap(self, addr: str) -> Interval:
         # Inward enclosure: a reported gap must sit inside the true one.
         g = self.base.gap(self._base_addr(addr))
-        a = self.spec.slice_point(self.lam, self.c, g.lo, self.bits)
-        b = self.spec.slice_point(self.lam, self.c, g.hi, self.bits)
+        a = self._slice(g.lo)
+        b = self._slice(g.hi)
         lo, hi = min(a.hi, b.hi), max(a.lo, b.lo)
         if lo > hi:
             mid = (lo + hi) / 2

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-Rat = Fraction
-
 
 class CantorForgeError(Exception):
     """Base class for every error this package raises on purpose."""
@@ -148,7 +146,7 @@ class GapTree:
     """Shared behaviour for the concrete tree representations.
 
     Subclasses provide ``interval(addr)`` and ``gap(addr)``; everything an
-    outside caller needs (level scans, stats, serialization, structural
+    outside caller needs (level scans, gap bounds, serialization, structural
     equality) is derived here.
     """
 
@@ -234,8 +232,16 @@ def rat_pair(x: Fraction) -> list[int]:
 
 
 def rat_from_pair(pair) -> Fraction:
+    """The rational of a JSON ``[num, den]`` pair of integers.
+
+    Float and bool entries and a zero denominator raise ValueError: a
+    float would be truncated and a zero would divide."""
     num, den = pair
-    return Fraction(int(num), int(den))
+    if type(num) is not int or type(den) is not int:
+        raise ValueError(f"a [num, den] pair needs two integers, got {pair!r}")
+    if den == 0:
+        raise ValueError(f"zero denominator in {pair!r}")
+    return Fraction(num, den)
 
 
 def canonical_json(obj) -> str:
@@ -405,25 +411,6 @@ def middle_thirds(depth: int, hull: Interval | None = None) -> SymmetricGapTree:
     return build_binary_ifs(hull, Fraction(1, 3), depth)
 
 
-@dataclass(frozen=True)
-class GapStats:
-    min_gap: Fraction
-    max_gap: Fraction
-    intervals: tuple
-
-
-def gap_stats(tree: GapTree, n: int) -> GapStats:
-    """Min and max gap length at level n plus the level-n intervals
-    in left-to-right order."""
-    if not 0 <= n < tree.depth:
-        raise LevelOutOfRange(n, tree.depth)
-    return GapStats(
-        min_gap=tree.level_min_gap(n),
-        max_gap=tree.level_max_gap(n),
-        intervals=tuple(tree.level_intervals(n)),
-    )
-
-
 def affine_image(tree: GapTree, lam, t) -> GapTree:
     """Exact image of the tree under x -> lam*x + t.
 
@@ -458,67 +445,11 @@ def affine_image(tree: GapTree, lam, t) -> GapTree:
     return ExplicitGapTree(map_iv(tree.hull), tree.depth, gaps)
 
 
-@dataclass(frozen=True)
-class MeasureBounds:
-    cover_measure: Fraction
-    removed: Fraction
-
-
-def measure_bounds(tree: GapTree, n: int) -> MeasureBounds:
-    """Total length of the level-n cover and of everything removed so far.
-
-    The cover measure is an upper bound for the measure of the final set and
-    decreases in n; cover + removed equals the hull length exactly.
-    """
-    if not 0 <= n <= tree.depth:
-        raise LevelOutOfRange(n, tree.depth)
-    if isinstance(tree, SymmetricGapTree):
-        cover = (1 << n) * tree.level_lengths[n]
-    else:
-        cover = sum((iv.length for iv in tree.level_intervals(n)), Fraction(0))
-    return MeasureBounds(cover_measure=cover, removed=tree.hull.length - cover)
-
-
-def tree_from_gap_list(hull: Interval, gaps: list[Interval]) -> ExplicitGapTree:
-    """Assemble a tree from an unaddressed list of disjoint open gaps.
-
-    The list length must be 2**N - 1 for some N.  Gaps are assigned to nodes
-    largest-first, ties broken leftmost-first, which reproduces the usual
-    construction order when several gaps share a length.
-    """
-    count = len(gaps)
-    depth = count.bit_length() - 1 if count > 0 else 0
-    if count == 0 or count != (1 << (depth + 1)) - 1:
-        raise ValueError(f"need 2**N - 1 gaps, got {count}")
-    depth += 1
-    ordered = sorted(gaps, key=lambda g: (-g.length, g.lo))
-    assigned: dict[str, Interval] = {}
-
-    def place(addr: str, region: Interval, pool: list[Interval]):
-        if not pool:
-            return
-        g = pool[0]
-        if not (region.lo < g.lo and g.hi < region.hi):
-            raise GapConstraintViolation(
-                len(addr), f"gap ({g.lo}, {g.hi}) does not fit inside [{region.lo}, {region.hi}]"
-            )
-        assigned[addr] = g
-        left = [u for u in pool[1:] if u.hi <= g.lo]
-        right = [u for u in pool[1:] if u.lo >= g.hi]
-        if len(left) + len(right) != len(pool) - 1:
-            raise ValueError("gap list is not nested: some gap straddles another")
-        place(addr + "0", Interval(region.lo, g.lo), left)
-        place(addr + "1", Interval(g.hi, region.hi), right)
-
-    place("", hull, ordered)
-    return ExplicitGapTree(hull, depth, assigned)
-
-
 def tree_from_json_obj(obj: dict) -> GapTree:
     if obj.get("kind") != "gap-tree":
         raise ValueError(f"not a gap-tree object (kind={obj.get('kind')!r})")
     h = obj["hull"]
-    hull = Interval(Fraction(int(h[0]), int(h[1])), Fraction(int(h[2]), int(h[3])))
+    hull = Interval(rat_from_pair(h[:2]), rat_from_pair(h[2:]))
     depth = int(obj["depth"])
     if "levels" in obj:
         tree = SymmetricGapTree(hull, tuple(rat_from_pair(g) for g in obj["levels"]))
@@ -529,10 +460,6 @@ def tree_from_json_obj(obj: dict) -> GapTree:
     for entry in obj["gaps"]:
         gaps[entry["addr"]] = Interval(rat_from_pair(entry["lo"]), rat_from_pair(entry["hi"]))
     return ExplicitGapTree(hull, depth, gaps)
-
-
-def tree_from_json(text: str) -> GapTree:
-    return tree_from_json_obj(json.loads(text))
 
 
 def write_intervals_csv(tree: GapTree, level: int, fileobj) -> int:

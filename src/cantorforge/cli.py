@@ -30,6 +30,7 @@ from .cantor1d import (
     build_binary_ifs,
     canonical_json,
     middle_thirds,
+    rat_from_pair,
     rat_pair,
     tree_from_json_obj,
     write_intervals_csv,
@@ -55,7 +56,6 @@ from .containment_rd import (
     build_product_companion,
     certify_sum_interior_rd,
     find_chain_rd,
-    separation_sequence,
 )
 from .applications import erdos_obstruction, pinned_distance_demo
 from .dyadic import precision_bits
@@ -97,7 +97,7 @@ def _rat(obj, field) -> Fraction:
         if isinstance(obj, str):
             return Fraction(obj)
         if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return Fraction(int(obj[0]), int(obj[1]))
+            return rat_from_pair(obj)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ConfigError(field, f"bad rational {obj!r}: {exc}") from None
     raise ConfigError(field, f"expected int, 'p/q' string or [num, den], got {obj!r}")
@@ -290,26 +290,24 @@ def _cert_from_params(params, ctx, keep_cells):
 
 
 def _cert_and_companion(params, ctx):
-    """Certificate of an R^d pipeline, its floors d_k, the product
-    companion built on them and the level count."""
-    rep, cert = _cert_from_params(params, ctx, keep_cells=bool(params.get("keep_cells", False)))
-    seps = separation_sequence(cert)
+    """Stripped certificate of an R^d pipeline, the product companion built
+    on its floors d_k and the level count."""
+    rep, cert = _cert_from_params(params, ctx, keep_cells=False)
     companion = build_product_companion(
         rep.exact_hull,
-        seps,
+        cert.dk,
         _rat(params.get("shrink", "1/2"), "params.shrink"),
         _rat(params.get("companion_margin", "1/10"), "params.companion_margin"),
     )
     levels = int(params.get("levels", cert.depth))
-    return cert, seps, companion, levels
+    return cert, companion, levels
 
 
 def _pipe_nondegeneracy(params, ctx):
     rep, cert = _cert_from_params(params, ctx, keep_cells=True)
-    seps = separation_sequence(cert)
     results = {
         "certificate": cert.to_json_obj(),
-        "dk": seps.to_json_obj(),
+        "dk": [rat_pair(d) for d in cert.dk],
     }
     return results, _boxes_geometry(cert), True
 
@@ -328,22 +326,21 @@ def _pipe_rotate_fix(params, ctx):
         bits=ctx["bits"],
         seed=ctx["seed"],
     )
-    seps = separation_sequence(result.certificate)
     results = {
         "chosen": {"index": result.index, "name": result.matrix.name},
         "failures": [{"candidate": n, "reason": r} for n, r in result.failures],
         "certificate": result.certificate.to_json_obj(),
-        "dk": seps.to_json_obj(),
+        "dk": [rat_pair(d) for d in result.certificate.dk],
     }
     return results, _boxes_geometry(result.certificate), True
 
 
 def _pipe_companion_rd(params, ctx):
-    cert, seps, companion, levels = _cert_and_companion(params, ctx)
+    cert, companion, levels = _cert_and_companion(params, ctx)
     chain = find_chain_rd(cert, companion, levels, bits=ctx["bits"])
     box = certify_sum_interior_rd(cert, companion, levels)
     results = {
-        "dk": seps.to_json_obj(),
+        "dk": [rat_pair(d) for d in cert.dk],
         "companion": companion.to_json_obj(),
         "chain": chain.to_json_obj(),
         "interior_box": [_interval_pair(iv) for iv in box],
@@ -352,7 +349,7 @@ def _pipe_companion_rd(params, ctx):
 
 
 def _pipe_interior_rd(params, ctx):
-    cert, seps, companion, levels = _cert_and_companion(params, ctx)
+    cert, companion, levels = _cert_and_companion(params, ctx)
     box = certify_sum_interior_rd(cert, companion, levels)
     count = int(params.get("grid", 5))
     axes = [grid_values(iv, count) for iv in box]
@@ -372,7 +369,7 @@ def _pipe_interior_rd(params, ctx):
         worst = max(worst, chain.bound)
         points.append({"t": [rat_pair(x) for x in t], "ok": True, "bound": rat_pair(chain.bound)})
     results = {
-        "dk": seps.to_json_obj(),
+        "dk": [rat_pair(d) for d in cert.dk],
         "interior_box": [_interval_pair(iv) for iv in box],
         "grid": count,
         "points": points,

@@ -25,16 +25,14 @@ from .cantor1d import (
 )
 from .containment1d import NoMargin
 from .dyadic import precision_bits, sqrt_bounds
-from .nested_rd import UndCertificate, dk_sequence
+from .nested_rd import UndCertificate
 
 __all__ = [
-    "SeparationSequence",
     "ProductCompanion",
     "ChainRd",
     "ChainStep",
     "InfeasibleGaps",
     "SlitBlocked",
-    "separation_sequence",
     "build_product_companion",
     "find_chain_rd",
     "certify_sum_interior_rd",
@@ -55,36 +53,11 @@ class SlitBlocked(CantorForgeError):
 
 
 @dataclass(frozen=True)
-class SeparationSequence:
-    """Floors d_k taken from a certificate, one per certified level."""
-
-    values: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(as_rat(v) for v in self.values))
-        if not self.values:
-            raise ValueError("separation sequence cannot be empty")
-        if any(v <= 0 for v in self.values):
-            raise ValueError("separation floors must be positive")
-
-    def __len__(self):
-        return len(self.values)
-
-    def to_json_obj(self):
-        return [rat_pair(v) for v in self.values]
-
-
-def separation_sequence(cert: UndCertificate) -> SeparationSequence:
-    return SeparationSequence(dk_sequence(cert))
-
-
-@dataclass(frozen=True)
 class ProductCompanion:
     """K0^d: the same symmetric base tree on every axis of the cube I^d."""
 
     base: SymmetricGapTree
     dim: int
-    seps: SeparationSequence
     shrink: Fraction
     margin: Fraction
 
@@ -104,7 +77,7 @@ class ProductCompanion:
 
 def build_product_companion(
     cert_hull,
-    seps: SeparationSequence,
+    floors,
     shrink,
     margin=Fraction(0),
 ) -> ProductCompanion:
@@ -113,8 +86,10 @@ def build_product_companion(
     ``cert_hull`` is the per-axis hull of the certified geometry, one
     ``Interval`` per axis (``NestedRep.exact_hull``); the base interval I
     spans the widest axis extent, inflated by ``margin`` on both sides, and
-    the same base tree is used on every axis.  shrink < 1 keeps every gap
-    strictly below its floor, which the chain needs.
+    the same base tree is used on every axis.  ``floors`` are the
+    separation floors d_k (``UndCertificate.dk``), a non-empty sequence of
+    positive rationals; a float floor is a TypeError.  shrink < 1 keeps
+    every gap strictly below its floor, which the chain needs.
     """
     shrink = as_rat(shrink)
     margin = as_rat(margin)
@@ -122,19 +97,20 @@ def build_product_companion(
         raise ValueError("shrink must lie strictly between 0 and 1")
     if margin < 0:
         raise ValueError("margin cannot be negative")
-    if not isinstance(seps, SeparationSequence):
-        seps = SeparationSequence(tuple(seps))
+    floors = tuple(as_rat(d) for d in floors)
+    if not floors or any(d <= 0 for d in floors):
+        raise ValueError("separation floors must be a non-empty sequence of positive rationals")
     lo = min(iv.lo for iv in cert_hull)
     hi = max(iv.hi for iv in cert_hull)
     interval = Interval(lo - margin, hi + margin)
-    gaps = tuple(shrink * d for d in seps.values)
+    gaps = tuple(shrink * d for d in floors)
     try:
         base = SymmetricGapTree(interval, gaps)
     except GapConstraintViolation as exc:
         raise InfeasibleGaps(
             f"requested gaps do not fit inside the companion interval (level {exc.level})"
         ) from exc
-    return ProductCompanion(base, len(cert_hull), seps, shrink, margin)
+    return ProductCompanion(base, len(cert_hull), shrink, margin)
 
 
 @dataclass(frozen=True)

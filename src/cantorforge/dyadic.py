@@ -22,8 +22,6 @@ from .cantor1d import Interval
 
 DEFAULT_PRECISION_BITS = 64
 
-Rat = Fraction
-
 
 def precision_bits(override: int | None = None) -> int:
     """Resolve the working precision in fractional bits (default 64)."""

@@ -206,13 +206,6 @@ class RotationMatrix:
             "defect": rat_pair(self.defect),
         }
 
-    @staticmethod
-    def from_json_obj(obj) -> "RotationMatrix":
-        rows = [
-            [Interval(rat_from_pair(e[0]), rat_from_pair(e[1])) for e in row] for row in obj["rows"]
-        ]
-        return RotationMatrix(obj["name"], rows)
-
 
 # ---------------------------------------------------------------------------
 # geometry
@@ -425,7 +418,7 @@ class Component:
         """Drop cell-level data to keep deep certificate searches small.
 
         The bounding box and path survive, which is all that separation
-        sequences and chains need."""
+        floors and chains need."""
         self.axes = ()
         self._cells = ()
         self._rects = ()
@@ -437,19 +430,17 @@ class Component:
                 seen.add(coords)
         return sorted(seen)
 
-    def to_json_obj(self, with_cubes: bool = True) -> dict:
+    def to_json_obj(self) -> dict:
         if self.stripped:
             raise InvalidCertificate("component was stripped; rebuild with keep_cells=True to export")
-        obj = {
+        return {
             "level": self.level,
             "bbox": [[rat_pair(iv.lo), rat_pair(iv.hi)] for iv in self.bbox],
             "source_cells": [
                 [[rat_pair(lo), rat_pair(hi)] for (_, lo, hi) in cell] for cell in self.cells
             ],
+            "cubes": [self.level, [list(c) for c in self.cube_coords()]],
         }
-        if with_cubes:
-            obj["cubes"] = [self.level, [list(c) for c in self.cube_coords()]]
-        return obj
 
 
 def _cube_range(lo: Fraction, hi: Fraction, scale: int) -> tuple[int, int]:
@@ -913,10 +904,10 @@ class CertNode:
     def min_dmin(self) -> Fraction:
         return min(self.dmins.values())
 
-    def to_json_obj(self, with_cubes: bool = True) -> dict:
+    def to_json_obj(self) -> dict:
         return {
             "k": self.k_used,
-            "components": [c.to_json_obj(with_cubes) for c in self.components],
+            "components": [c.to_json_obj() for c in self.components],
             "dmin": {f"{i},{j}": rat_pair(v) for (i, j), v in sorted(self.dmins.items())},
             "ratios": None
             if self.ratios is None
@@ -924,7 +915,7 @@ class CertNode:
                 f"{i},{j}": [rat_pair(lo), rat_pair(hi)]
                 for (i, j), (lo, hi) in sorted(self.ratios.items())
             },
-            "children": [child.to_json_obj(with_cubes) for child in self.children],
+            "children": [child.to_json_obj() for child in self.children],
         }
 
 
@@ -948,8 +939,16 @@ class UndCertificate:
 
     @cached_property
     def dk(self) -> tuple[Fraction, ...]:
-        """``dk_sequence`` of this certificate, computed on first use."""
-        return dk_sequence(self)
+        """Per-level separation floors d_k = min over level-k nodes of the
+        minimum pairwise separation in that node's selection, computed on
+        first use."""
+        out = []
+        for k in range(1, self.depth + 1):
+            value = min(node.min_dmin() for node in self.nodes_at_level(k))
+            if value <= 0:
+                raise InvalidCertificate(f"certificate has a non-positive separation at level {k}")
+            out.append(value)
+        return tuple(out)
 
     def nodes_at_level(self, k: int) -> list[CertNode]:
         nodes = [self.root]
@@ -967,7 +966,7 @@ class UndCertificate:
             stack.extend(node.children)
         return out
 
-    def to_json_obj(self, with_cubes: bool = True) -> dict:
+    def to_json_obj(self) -> dict:
         obj = {
             "kind": "und-certificate",
             "dimension": self.dimension,
@@ -976,7 +975,7 @@ class UndCertificate:
             "margin": rat_pair(self.margin),
             "bits": self.bits,
             "matrix": self.matrix.to_json_obj() if self.matrix is not None else None,
-            "root": self.root.to_json_obj(with_cubes),
+            "root": self.root.to_json_obj(),
         }
         # Only a shifted geometry carries its shift, so unshifted
         # certificates keep the bytes they always had.
@@ -1135,19 +1134,6 @@ def _strip_subtree(comp: Component):
     if comp._children:
         for child in comp._children:
             _strip_subtree(child)
-
-
-def dk_sequence(cert: UndCertificate) -> tuple[Fraction, ...]:
-    """Per-level separation floors d_k = min over level-k nodes of the
-    minimum pairwise separation in that node's selection."""
-    out = []
-    for k in range(1, cert.depth + 1):
-        nodes = cert.nodes_at_level(k)
-        value = min(node.min_dmin() for node in nodes)
-        if value <= 0:
-            raise InvalidCertificate(f"certificate has a non-positive separation at level {k}")
-        out.append(value)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1336,7 +1322,6 @@ class RotationResult:
     index: int
     matrix: RotationMatrix
     certificate: UndCertificate
-    rep: NestedRep
     failures: list[tuple[str, str]]
 
 
@@ -1381,7 +1366,7 @@ def rotation_search(
         except (CertificateNotFound, DegeneratePair, EmptyGeometry) as exc:
             failures.append((cand.name, str(exc)))
             continue
-        return RotationResult(index, cand, cert, rep, failures)
+        return RotationResult(index, cand, cert, failures)
     raise AllCandidatesFailed(failures)
 
 

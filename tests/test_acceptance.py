@@ -37,13 +37,12 @@ from cantorforge import (
     pinned_distance_demo,
     robustness_sweep,
     rotation_search,
-    separation_sequence,
     und_certificate,
 )
-from cantorforge.cantor1d import affine_image, canonical_json, tree_from_json
+from cantorforge.cantor1d import affine_image, canonical_json, tree_from_json_obj
 from cantorforge.cli import main
 from cantorforge.containment1d import grid_values
-from cantorforge.nested_rd import CertificateNotFound, dk_sequence, image_separations
+from cantorforge.nested_rd import CertificateNotFound, image_separations
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
@@ -97,7 +96,7 @@ def test_perturbation_sweep_full_grid_passes():
 
 def test_square_certificate_hits_exact_floors_and_rotation_recovers(square_cert):
     cert, _rep = square_cert
-    dk = dk_sequence(cert)
+    dk = cert.dk
     window_slip = 1 - Fraction(1, 2**30)
     for i, d in enumerate(dk, start=1):
         want = Fraction(1, 9**i)
@@ -124,13 +123,12 @@ def test_square_certificate_hits_exact_floors_and_rotation_recovers(square_cert)
 def test_deep_product_chain_and_translation_grid(deep_square_cert):
     cert, rep = deep_square_cert
     assert cert.depth == 10
-    seps = separation_sequence(cert)
-    companion = build_product_companion(rep.exact_hull, seps, Fraction(1, 2), Fraction(1, 10))
+    companion = build_product_companion(rep.exact_hull, cert.dk, Fraction(1, 2), Fraction(1, 10))
 
     chain = find_chain_rd(cert, companion, 10)  # raises SlitBlocked on failure
     assert len(chain.steps) == 10
     # level lengths telescope: L_10 * 2^10 = |I| - sum_{j<10} 2^j gap_j
-    depth_len = (Fraction(6, 5) - sum(2**j * seps.values[j] / 2 for j in range(10))) / 2**10
+    depth_len = (Fraction(6, 5) - sum(2**j * cert.dk[j] / 2 for j in range(10))) / 2**10
     assert companion.base.level_lengths[10] == depth_len
     assert chain.bound_sq == 2 * depth_len * depth_len
 
@@ -152,7 +150,7 @@ def test_deep_product_chain_and_translation_grid(deep_square_cert):
 
 def test_hundred_near_identity_images_keep_most_separation(square_cert):
     cert, _rep = square_cert
-    base = dk_sequence(cert)
+    base = cert.dk
     floor = Fraction(4, 5)  # 1 - 2 * (1 + 9) * 0.01
     rng = random.Random(20260814)
 
@@ -222,8 +220,9 @@ def test_serialization_round_trips_and_byte_identical_reports(tmp_path, square_c
     kt = build_companion(k, 20, Fraction(1, 10), Fraction(1, 2))
     for tree in (k, kt):
         text = tree.to_json()
-        assert tree_from_json(text) == tree
-        assert tree_from_json(text).to_json() == text
+        again = tree_from_json_obj(json.loads(text))
+        assert again == tree
+        assert again.to_json() == text
 
     cert, _rep = square_cert
     wire = cert.to_json()

@@ -18,13 +18,9 @@ from cantorforge.cantor1d import (
     as_rat,
     build_binary_ifs,
     canonical_json,
-    gap_stats,
-    measure_bounds,
     middle_thirds,
     rat_from_pair,
     rat_pair,
-    tree_from_gap_list,
-    tree_from_json,
     tree_from_json_obj,
     write_intervals_csv,
 )
@@ -165,23 +161,6 @@ def test_reflection_is_an_involution():
     assert oracles.tree_cover(back, 6) == oracles.tree_cover(base, 6)
 
 
-def test_gap_stats_and_measure():
-    tree = middle_thirds(10)
-    for n in (0, 3, 7):
-        stats = gap_stats(tree, n)
-        assert stats.min_gap == stats.max_gap == Fraction(1, 3) ** (n + 1)
-    mb = measure_bounds(tree, 6)
-    assert mb.cover_measure == Fraction(2, 3) ** 6
-    assert mb.removed == 1 - Fraction(2, 3) ** 6
-
-
-@given(st.integers(min_value=1, max_value=9))
-def test_cover_measure_never_increases(depth):
-    tree = middle_thirds(depth)
-    measures = [measure_bounds(tree, n).cover_measure for n in range(depth + 1)]
-    assert all(a >= b for a, b in zip(measures, measures[1:]))
-
-
 def test_split_interval_agrees_with_interval():
     tree = middle_thirds(6)
     for addr in ("", "0", "10", "011"):
@@ -223,23 +202,9 @@ def test_level_out_of_range():
         tree.level_min_gap(3)
 
 
-def test_tree_from_gap_list_reproduces_thirds():
-    src = middle_thirds(2)
-    gaps = [src.gap(a) for a in ("", "0", "1")]
-    rebuilt = tree_from_gap_list(src.hull, gaps)
-    for addr in ("", "0", "1", "00", "01", "10", "11"):
-        assert rebuilt.interval(addr) == src.interval(addr)
-
-
-def test_tree_from_gap_list_rejects_bad_counts():
-    src = middle_thirds(2)
-    with pytest.raises(ValueError):
-        tree_from_gap_list(src.hull, [src.gap(""), src.gap("0")])
-
-
 def test_symmetric_json_round_trip(thirds20):
     text = thirds20.to_json()
-    again = tree_from_json(text)
+    again = tree_from_json_obj(json.loads(text))
     assert isinstance(again, SymmetricGapTree)
     assert again == thirds20
     assert again.to_json() == text
@@ -272,6 +237,12 @@ def test_canonical_json_is_stable():
 @given(st.fractions(max_denominator=10**9))
 def test_rat_pair_round_trip(x):
     assert rat_from_pair(rat_pair(x)) == x
+
+
+@pytest.mark.parametrize("pair", [[1.9, 3], [1, 3.0], [True, 3], [1, 0], [1, 2, 3]])
+def test_rat_from_pair_refuses_non_integer_pairs(pair):
+    with pytest.raises(ValueError):
+        rat_from_pair(pair)
 
 
 def test_intervals_csv_shape():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from cantorforge.cantor1d import ExplicitGapTree, addresses, middle_thirds
 from cantorforge.cli import _build_geometry, emit_geometry, main, run_scenario
 from cantorforge.nested_rd import RotationMatrix
 
@@ -195,6 +196,41 @@ def test_config_problems_exit_one(tmp_path, capsys):
     assert "params.margin" in err
 
 
+def _explicit_thirds(**edits):
+    """Explicit depth-3 middle-thirds tree JSON, with ``hull`` or the root
+    gap's ``lo`` replaced by the given values."""
+    thirds = middle_thirds(3)
+    gaps = {a: thirds.gap(a) for n in range(3) for a in addresses(n)}
+    obj = ExplicitGapTree(thirds.hull, 3, gaps).to_json_obj()
+    if "hull" in edits:
+        obj["hull"] = edits["hull"]
+    if "lo" in edits:
+        obj["gaps"][0]["lo"] = edits["lo"]
+    return {"kind": "explicit", "tree": obj}
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"set": _explicit_thirds(lo=[1.9, 3])}, "needs two integers"),
+        ({"set": {"kind": "middle-thirds", "depth": 3}, "margin": [0.5, 5]}, "params.margin"),
+        ({"set": _explicit_thirds(lo=[1, 0])}, "zero denominator"),
+        ({"set": _explicit_thirds(hull=[0, 0, 1, 1])}, "zero denominator"),
+    ],
+    ids=["float-gap", "float-margin", "zero-gap-denominator", "zero-hull-denominator"],
+)
+def test_bad_rational_pairs_are_config_errors(tmp_path, capsys, params, message):
+    # a float entry is not truncated and a zero denominator is not a traceback
+    cfg = tmp_path / "pair.json"
+    cfg.write_text(json.dumps({"pipeline": "companion-1d", "params": {"levels": 3, **params}}))
+    out = tmp_path / "pair.out.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+    assert not out.exists()
+
+
 def test_symmetric_set_kind_builds_the_tree_it_names(tmp_path):
     # middle thirds to depth 6, written out gap by gap
     sets = {
@@ -325,6 +361,18 @@ def test_verify_rejects_a_tampered_level(tmp_path, capsys, node_path, level, mes
     capsys.readouterr()
     assert main(["verify", str(tampered)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_verify_rejects_a_float_in_a_bbox_claim(tmp_path, capsys):
+    config = next(p for p in SCENARIOS if p.stem == "nondegeneracy_square")
+    run_to(tmp_path, config, "rep.json")
+    report = json.loads((tmp_path / "rep.json").read_text())
+    report["results"]["certificate"]["root"]["components"][0]["bbox"][0][0] = [0.9, 1]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == 2
+    assert "malformed certificate" in capsys.readouterr().err
 
 
 def test_verify_needs_a_certificate_in_valid_json(tmp_path, capsys):

@@ -7,28 +7,17 @@ from cantorforge.cantor1d import Interval
 from cantorforge.containment1d import NoMargin, grid_values
 from cantorforge.containment_rd import (
     InfeasibleGaps,
-    SeparationSequence,
     SlitBlocked,
     build_product_companion,
     certify_sum_interior_rd,
     find_chain_rd,
-    separation_sequence,
 )
-from cantorforge.nested_rd import dk_sequence
 
 
 @pytest.fixture()
 def companion(square_cert):
     cert, rep = square_cert
-    seps = separation_sequence(cert)
-    return build_product_companion(rep.exact_hull, seps, Fraction(1, 2), Fraction(1, 10))
-
-
-def test_separation_sequence_matches_dk(square_cert):
-    cert, _rep = square_cert
-    seps = separation_sequence(cert)
-    assert seps.values == dk_sequence(cert)
-    assert seps.to_json_obj() == [[1, 9], [1, 81], [1, 729]]
+    return build_product_companion(rep.exact_hull, cert.dk, Fraction(1, 2), Fraction(1, 10))
 
 
 def test_companion_base_geometry(companion):
@@ -39,11 +28,20 @@ def test_companion_base_geometry(companion):
 
 def test_companion_rejects_out_of_range_shrink(square_cert):
     cert, rep = square_cert
-    seps = separation_sequence(cert)
     with pytest.raises(ValueError):
-        build_product_companion(rep.exact_hull, seps, Fraction(1), Fraction(1, 10))
+        build_product_companion(rep.exact_hull, cert.dk, Fraction(1), Fraction(1, 10))
     with pytest.raises(ValueError):
-        build_product_companion(rep.exact_hull, seps, Fraction(1, 2), Fraction(-1))
+        build_product_companion(rep.exact_hull, cert.dk, Fraction(1, 2), Fraction(-1))
+
+
+def test_companion_rejects_bad_floors(square_cert):
+    _cert, rep = square_cert
+    half, margin = Fraction(1, 2), Fraction(1, 10)
+    for floors in ((), (Fraction(1, 9), Fraction(0)), (Fraction(-1, 9),)):
+        with pytest.raises(ValueError, match="separation floors"):
+            build_product_companion(rep.exact_hull, floors, half, margin)
+    with pytest.raises(TypeError):
+        build_product_companion(rep.exact_hull, (1 / 9, 1 / 81), half, margin)
 
 
 def test_chain_descends_and_bounds(square_cert, companion):
@@ -79,7 +77,7 @@ def test_chain_witness_lies_in_a_certified_box(square_cert, companion):
 
 def test_infeasible_gaps_detected(square_cert, companion):
     cert, rep = square_cert
-    fat = SeparationSequence(tuple(3 * v for v in separation_sequence(cert).values))
+    fat = tuple(3 * v for v in cert.dk)
     blocked = build_product_companion(rep.exact_hull, fat, Fraction(1, 2), Fraction(1, 10))
     with pytest.raises(InfeasibleGaps):
         find_chain_rd(cert, blocked, 3)
@@ -96,8 +94,7 @@ def test_interior_box_is_exact(square_cert, companion):
 
 def test_interior_needs_margin(square_cert):
     cert, rep = square_cert
-    seps = separation_sequence(cert)
-    snug = build_product_companion(rep.exact_hull, seps, Fraction(1, 2), Fraction(0))
+    snug = build_product_companion(rep.exact_hull, cert.dk, Fraction(1, 2), Fraction(0))
     with pytest.raises(NoMargin):
         certify_sum_interior_rd(cert, snug, 3)
 

@@ -3,17 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from cantorforge.cantor1d import Interval, canonical_json, middle_thirds
+from cantorforge.cantor1d import Interval, canonical_json, middle_thirds, rat_from_pair
 from cantorforge.nested_rd import (
     CertificateNotFound,
+    CertNode,
     DegeneratePair,
+    InvalidCertificate,
     ProductGeometry,
     RotationMatrix,
+    UndCertificate,
     build_nested_rep,
     components_at,
     d_min,
     default_candidates,
-    dk_sequence,
     image_separations,
     kappa_ratios,
     rotation_search,
@@ -57,7 +59,7 @@ def test_certificate_shape_and_exact_separations(square_cert):
     cert, _rep = square_cert
     assert cert.dimension == 2
     assert cert.depth == 3
-    assert dk_sequence(cert) == (Fraction(1, 9), Fraction(1, 81), Fraction(1, 729))
+    assert cert.dk == (Fraction(1, 9), Fraction(1, 81), Fraction(1, 729))
     assert len(cert.nodes_at_level(1)) == 1
     assert len(cert.nodes_at_level(2)) == 3
     assert len(cert.nodes_at_level(3)) == 9
@@ -202,16 +204,19 @@ def test_default_candidates_start_with_identity_then_mixing():
 
 def test_rotation_matrix_round_trip():
     m = RotationMatrix.axis_mixing(3)
-    again = RotationMatrix.from_json_obj(m.to_json_obj())
-    assert again.rows == m.rows
-    assert again.name == m.name
+    obj = json.loads(canonical_json(m.to_json_obj()))
+    rows = tuple(
+        tuple(Interval(rat_from_pair(lo), rat_from_pair(hi)) for lo, hi in row) for row in obj["rows"]
+    )
+    assert rows == m.rows
+    assert obj["name"] == m.name
 
 
 def test_identity_map_reproduces_certified_separations(square_cert):
     cert, _rep = square_cert
     rows = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
     shift = (Fraction(0), Fraction(0))
-    assert image_separations(cert, rows, shift) == dk_sequence(cert)
+    assert image_separations(cert, rows, shift) == cert.dk
 
 
 def test_near_identity_map_keeps_most_separation(square_cert):
@@ -219,7 +224,7 @@ def test_near_identity_map_keeps_most_separation(square_cert):
     eps = Fraction(1, 256)
     rows = ((1 + eps, eps), (-eps, 1 - eps))
     shift = (Fraction(3, 64), Fraction(-1, 32))
-    base = dk_sequence(cert)
+    base = cert.dk
     moved = image_separations(cert, rows, shift)
     for b, a in zip(moved, base):
         assert b >= Fraction(4, 5) * a
@@ -232,11 +237,17 @@ def test_dropping_cells_changes_no_separation(square_cert):
     geom = ProductGeometry([middle_thirds(8), middle_thirds(8)])
     rep = build_nested_rep(geom, 2, 11, refine_step=3)
     lean = und_certificate(rep, kappa=Fraction(9), max_k=2, depth=3, keep_cells=False)
-    assert dk_sequence(lean) == dk_sequence(cert)
-    from cantorforge.nested_rd import InvalidCertificate
-
+    assert lean.dk == cert.dk
     with pytest.raises(InvalidCertificate):
         lean.to_json_obj()
+
+
+def test_floors_refuse_a_non_positive_separation(square_cert):
+    cert, _rep = square_cert
+    root = CertNode(1, cert.root.components, {(0, 1): Fraction(0)}, None, ())
+    flat = UndCertificate(2, None, 1, cert.margin, cert.bits, root, None, cert.shift)
+    with pytest.raises(InvalidCertificate, match="non-positive separation at level 1"):
+        flat.dk
 
 
 def kappa_square_obj(depth):

@@ -120,6 +120,6 @@ def test_box_gap_ratios_match_a_corner_scan(case):
                 except DegeneratePair:
                     continue
                 raise AssertionError("an overlapping pair passed the ratio test")
-            cells_a = _parse_cells(json.loads(json.dumps(a.to_json_obj(with_cubes=False)))["source_cells"])
-            cells_b = _parse_cells(json.loads(json.dumps(b.to_json_obj(with_cubes=False)))["source_cells"])
+            cells_a = _parse_cells(json.loads(json.dumps(a.to_json_obj()))["source_cells"])
+            cells_b = _parse_cells(json.loads(json.dumps(b.to_json_obj()))["source_cells"])
             assert kappa_ratios(a, b) == _cell_ratio_bounds(cells_a, cells_b, None, geom.dim)
