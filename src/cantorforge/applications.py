@@ -587,9 +587,10 @@ def erdos_obstruction(
     """
     family = [(as_rat(l), as_rat(t)) for l, t in family]
     khat = build_companion(k, levels, margin=margin, factor=factor)
-    certified = certify_difference_interior(k, khat, levels)
+    report = check_dominance(k, khat, levels)
+    certified = certify_difference_interior(k, khat, levels, report=report)
     spacing = certified.length
-    slack = check_dominance(k, khat, levels).slack
+    slack = report.slack
 
     def image_hull(lam: Fraction, t: Fraction) -> tuple[Fraction, Fraction]:
         a, b = lam * k.hull.lo + t, lam * k.hull.hi + t

@@ -450,7 +450,9 @@ def tree_from_json_obj(obj: dict) -> GapTree:
         raise ValueError(f"not a gap-tree object (kind={obj.get('kind')!r})")
     h = obj["hull"]
     hull = Interval(rat_from_pair(h[:2]), rat_from_pair(h[2:]))
-    depth = int(obj["depth"])
+    depth = obj["depth"]
+    if type(depth) is not int:
+        raise ValueError(f"tree depth must be an integer, got {depth!r}")
     if "levels" in obj:
         tree = SymmetricGapTree(hull, tuple(rat_from_pair(g) for g in obj["levels"]))
         if tree.depth != depth:

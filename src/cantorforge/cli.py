@@ -103,6 +103,14 @@ def _rat(obj, field) -> Fraction:
     raise ConfigError(field, f"expected int, 'p/q' string or [num, den], got {obj!r}")
 
 
+def _int(obj, field) -> int:
+    """A JSON integer.  Floats, bools and strings are refused: ``int()``
+    would truncate 2.9 to 2 without a word."""
+    if type(obj) is not int:
+        raise ConfigError(field, f"expected an integer, got {obj!r}")
+    return obj
+
+
 def _interval(obj, field) -> Interval:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ConfigError(field, f"expected [lo, hi], got {obj!r}")
@@ -117,14 +125,14 @@ def _build_set(spec, field):
         raise ConfigError(field, "expected an object with a 'kind'")
     kind = spec["kind"]
     if kind == "middle-thirds":
-        depth = int(spec.get("depth", 20))
+        depth = _int(spec.get("depth", 20), field + ".depth")
         hull = _interval(spec["hull"], field + ".hull") if "hull" in spec else None
         return middle_thirds(depth, hull)
     if kind == "binary-ifs":
         return build_binary_ifs(
             _interval(spec["hull"], field + ".hull"),
             _rat(spec["ratio"], field + ".ratio"),
-            int(spec["depth"]),
+            _int(spec["depth"], field + ".depth"),
         )
     if kind == "symmetric":
         hull = _interval(spec["hull"], field + ".hull")
@@ -141,7 +149,7 @@ def _build_matrix(spec, dim, seed, field, bits):
     if spec == "axis-mixing":
         return RotationMatrix.axis_mixing(dim, bits)
     if isinstance(spec, dict) and spec.get("kind") == "quasi-random":
-        return RotationMatrix.quasi_random(dim, int(spec.get("seed", seed)), bits)
+        return RotationMatrix.quasi_random(dim, _int(spec.get("seed", seed), field + ".seed"), bits)
     if isinstance(spec, list):
         rows = [[_rat(e, field) for e in row] for row in spec]
         return RotationMatrix("config", rows)
@@ -173,7 +181,7 @@ def _family_from_config(spec, field):
     if isinstance(spec, list):
         return [(_rat(p[0], field), _rat(p[1], field)) for p in spec]
     if isinstance(spec, dict) and spec.get("kind") == "demo-grid":
-        count = int(spec.get("count", 100))
+        count = _int(spec.get("count", 100), field + ".count")
         lam0 = _rat(spec.get("lambda_start", "99/100"), field)
         dlam = _rat(spec.get("lambda_step", "1/5000"), field)
         dt = _rat(spec.get("t_step", "1/20"), field)
@@ -206,7 +214,7 @@ def _boxes_geometry(cert):
 def _set_and_companion(params):
     """The set of a 1-D pipeline, its level count and its companion."""
     k = _build_set(params["set"], "params.set")
-    levels = int(params.get("levels", 20))
+    levels = _int(params.get("levels", 20), "params.levels")
     kt = build_companion(
         k,
         levels,
@@ -222,9 +230,9 @@ def _pipe_companion_1d(params, ctx):
     results = {"dominance": dom.to_json_obj()}
     ok = dom.overall
     if ok:
-        chain = find_chain(k, kt, levels)
+        chain = find_chain(k, kt, levels, report=dom)
         results["chain"] = chain.to_json_obj()
-        interior = certify_difference_interior(k, kt, levels)
+        interior = certify_difference_interior(k, kt, levels, report=dom)
         results["interior"] = _interval_pair(interior)
         results["slack_lambda"] = rat_pair(dom.slack)
     return results, kt.to_json_obj(), ok
@@ -233,7 +241,7 @@ def _pipe_companion_1d(params, ctx):
 def _pipe_interior_1d(params, ctx):
     k, levels, kt = _set_and_companion(params)
     interior = certify_difference_interior(k, kt, levels)
-    count = int(params.get("grid", 101))
+    count = _int(params.get("grid", 101), "params.grid")
     points = []
     worst = Fraction(0)
     ok = True
@@ -262,8 +270,8 @@ def _pipe_sweep_1d(params, ctx):
     pert = PerturbationSpec(
         _interval(params["lambda_range"], "params.lambda_range"),
         _interval(params["t_range"], "params.t_range"),
-        int(params.get("lambda_count", 21)),
-        int(params.get("t_count", 21)),
+        _int(params.get("lambda_count", 21), "params.lambda_count"),
+        _int(params.get("t_count", 21), "params.t_count"),
     )
     sweep = robustness_sweep(k, kt, pert, levels)
     return {"sweep": sweep.to_json_obj()}, kt.to_json_obj(), sweep.all_ok
@@ -273,17 +281,17 @@ def _cert_from_params(params, ctx, keep_cells):
     geom = _build_geometry(params["geometry"], ctx["seed"], ctx["bits"])
     rep = build_nested_rep(
         geom,
-        int(params.get("m0", 2)),
-        int(params["max_level"]),
-        int(params.get("refine_step", 2)),
+        _int(params.get("m0", 2), "params.m0"),
+        _int(params["max_level"], "params.max_level"),
+        _int(params.get("refine_step", 2), "params.refine_step"),
         bits=ctx["bits"],
     )
     kappa = params.get("kappa")
     cert = und_certificate(
         rep,
         kappa=None if kappa is None else _rat(kappa, "params.kappa"),
-        max_k=int(params.get("max_k", 2)),
-        depth=int(params.get("depth", 1)),
+        max_k=_int(params.get("max_k", 2), "params.max_k"),
+        depth=_int(params.get("depth", 1), "params.depth"),
         keep_cells=keep_cells,
     )
     return rep, cert
@@ -299,7 +307,7 @@ def _cert_and_companion(params, ctx):
         _rat(params.get("shrink", "1/2"), "params.shrink"),
         _rat(params.get("companion_margin", "1/10"), "params.companion_margin"),
     )
-    levels = int(params.get("levels", cert.depth))
+    levels = _int(params.get("levels", cert.depth), "params.levels")
     return cert, companion, levels
 
 
@@ -318,11 +326,11 @@ def _pipe_rotate_fix(params, ctx):
     result = rotation_search(
         geom,
         kappa=None if kappa is None else _rat(kappa, "params.kappa"),
-        max_k=int(params.get("max_k", 2)),
-        depth=int(params.get("depth", 1)),
-        m0=int(params.get("m0", 2)),
-        max_level=int(params["max_level"]),
-        refine_step=int(params.get("refine_step", 2)),
+        max_k=_int(params.get("max_k", 2), "params.max_k"),
+        depth=_int(params.get("depth", 1), "params.depth"),
+        m0=_int(params.get("m0", 2), "params.m0"),
+        max_level=_int(params["max_level"], "params.max_level"),
+        refine_step=_int(params.get("refine_step", 2), "params.refine_step"),
         bits=ctx["bits"],
         seed=ctx["seed"],
     )
@@ -351,7 +359,7 @@ def _pipe_companion_rd(params, ctx):
 def _pipe_interior_rd(params, ctx):
     cert, companion, levels = _cert_and_companion(params, ctx)
     box = certify_sum_interior_rd(cert, companion, levels)
-    count = int(params.get("grid", 5))
+    count = _int(params.get("grid", 5), "params.grid")
     axes = [grid_values(iv, count) for iv in box]
     points = []
     ok = True
@@ -385,10 +393,10 @@ def _pipe_distance_demo(params, ctx):
         c_range = _interval(params["c_range"], "params.c_range")
     report = pinned_distance_demo(
         alpha=_rat(params.get("alpha", 2), "params.alpha"),
-        dimension=int(params.get("dimension", 2)),
-        depth=int(params.get("depth", 12)),
+        dimension=_int(params.get("dimension", 2), "params.dimension"),
+        depth=_int(params.get("depth", 12), "params.depth"),
         c_range=c_range,
-        grid=int(params.get("grid", 101)),
+        grid=_int(params.get("grid", 101), "params.grid"),
         tol=_rat(params.get("tol", "1/100000000"), "params.tol"),
         bits=ctx["bits"],
     )
@@ -397,7 +405,7 @@ def _pipe_distance_demo(params, ctx):
 
 def _pipe_erdos_demo(params, ctx):
     k = _build_set(params["set"], "params.set")
-    levels = int(params.get("levels", 12))
+    levels = _int(params.get("levels", 12), "params.levels")
     margin = _rat(params.get("margin", "1/10"), "params.margin")
     factor = _rat(params.get("factor", "1/2"), "params.factor")
     family = _family_from_config(params["family"], "params.family")
@@ -450,10 +458,10 @@ def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False,
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params", "must be an object")
-    eff_seed = seed if seed is not None else int(config.get("seed", 0))
+    eff_seed = seed if seed is not None else _int(config.get("seed", 0), "seed")
     # Checked before the pipeline, so a bad value is a ConfigError (exit 1).
-    if bits is None:
-        bits = config.get("precision_bits")
+    if bits is None and config.get("precision_bits") is not None:
+        bits = _int(config["precision_bits"], "precision_bits")
     try:
         eff_bits = precision_bits(bits)
     except (TypeError, ValueError) as exc:
@@ -580,11 +588,14 @@ def main(argv=None) -> int:
             for problem in problems:
                 print(f"cantor-forge: {problem}", file=sys.stderr)
             return 0 if ok else 2
-        if args.out is None:
-            emit_geometry(report, args.format, sys.stdout, level=args.level)
-        else:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                emit_geometry(report, args.format, fh, level=args.level)
+        try:
+            if args.out is None:
+                emit_geometry(report, args.format, sys.stdout, level=args.level)
+            else:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    emit_geometry(report, args.format, fh, level=args.level)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError("geometry", f"{type(exc).__name__}: {exc}") from None
         return 0
     except (ConfigError, KindMismatch) as exc:
         print(f"cantor-forge: {exc}", file=sys.stderr)

@@ -130,7 +130,7 @@ class WitnessChain:
         }
 
 
-def find_chain(k: GapTree, kt: GapTree, levels: int) -> WitnessChain:
+def find_chain(k: GapTree, kt: GapTree, levels: int, report: DominanceReport | None = None) -> WitnessChain:
     """Descend ``levels`` steps keeping an interval of k inside one of kt.
 
     At each node the companion gap is shorter, so it pokes into at most one
@@ -138,13 +138,16 @@ def find_chain(k: GapTree, kt: GapTree, levels: int) -> WitnessChain:
     we take the left branch.  The witnesses are the midpoints of the final
     intervals and the bound is the final companion interval length.
     This is the one dominance gate of a trial: a failed check raises
-    DominanceNotVerified, whose ``report`` names what failed.
+    DominanceNotVerified, whose ``report`` names what failed.  A caller
+    that already holds ``check_dominance(k, kt, levels)`` passes it as
+    ``report``, and the check is not made again.
 
     The walk carries ``(addr, lo, hi)`` of the held node of each tree from
     ``interval("")`` down and splits it with ``split_interval``, so a step
     costs O(1) and a chain O(levels); no address is re-walked from the root.
     """
-    report = check_dominance(k, kt, levels)
+    if report is None:
+        report = check_dominance(k, kt, levels)
     if not report.overall:
         raise DominanceNotVerified(report)
     root_k = k.interval("")
@@ -211,14 +214,19 @@ def capped_companion(hull: Interval, wants) -> SymmetricGapTree:
     return SymmetricGapTree(hull, tuple(gaps))
 
 
-def certify_difference_interior(k: GapTree, kt: GapTree, levels: int) -> Interval:
+def certify_difference_interior(
+    k: GapTree, kt: GapTree, levels: int, report: DominanceReport | None = None
+) -> Interval:
     """Certified interval of translates t with (kt + t) meeting k.
 
     Needs strict hull margins on both sides and a clean dominance report;
     the answer is exactly the set of t keeping k's hull inside kt's, and
-    every t in it admits a chain, so the difference set contains it.
+    every t in it admits a chain, so the difference set contains it.  A
+    ``report`` already held for (k, kt, levels) is used as it is, as in
+    ``find_chain``.
     """
-    report = check_dominance(k, kt, levels)
+    if report is None:
+        report = check_dominance(k, kt, levels)
     if not report.overall:
         raise DominanceNotVerified(report)
     left = k.hull.lo - kt.hull.lo

@@ -263,7 +263,7 @@ def certify_sum_interior_rd(
         raise ValueError(f"cannot certify {levels} levels with this certificate/companion")
     _require_gaps_below_floors(companion, dk, levels)
     # Per-axis exact hull of the geometry the certificate talks about.
-    hull = cert.root.components[0].rep.exact_hull
+    hull = cert.root.components[0].cover.exact_hull
     interval = companion.interval
     box = []
     for axis in range(d):

@@ -11,11 +11,17 @@ A matrix-free geometry, shifted or not, is covered axis by axis.  Two
 product cells touch exactly when their factor intervals touch on every
 axis, so the cover graph is the strong product of the per-axis cover
 graphs, and the connected components of a strong product are exactly the
-products of the per-axis components.  Each axis refines and merges its
-own 1-D pieces, and a node's children are the product of the per-axis
-children.  A mapped geometry mixes the axes, so its cover is built from
-the image boxes of the product cells with a union-find; each box is a sum
-of per-axis image columns, one column per factor piece.
+products of the per-axis components.  A product component is therefore a
+tuple of axis components, one per factor, each a component of that
+factor's 1-D cover whose pieces and box are integers over one denominator
+per factor.  An axis component refines and merges its pieces once, and
+every product component that holds it shares the result: a node's
+children are the products of its axis components' children.
+Separations, diameters and ratio bounds of product components compare
+those integers and build a ``Fraction`` only for the value they return.
+A mapped geometry mixes the axes, so its cover is built from the image
+boxes of the product cells with a union-find; each box is a sum of
+per-axis image columns, one column per factor piece.
 
 A non-degeneracy certificate picks, inside every node, d+1 descendant
 components that are pairwise separated on every coordinate axis.  All
@@ -45,12 +51,13 @@ from .cantor1d import (
     GapTree,
     Interval,
     SymmetricGapTree,
+    addresses,
     as_rat,
     canonical_json,
     rat_pair,
     rat_from_pair,
 )
-from .dyadic import precision_bits, round_down, round_up, sqrt_bounds
+from .dyadic import precision_bits, sqrt_bounds
 
 DEFAULT_SEPARATION_MARGIN = Fraction(1, 1 << 40)
 
@@ -344,28 +351,200 @@ class ProductGeometry:
 # ---------------------------------------------------------------------------
 # cube covers and components
 
+
+class _Axis:
+    """One factor of a matrix-free product, in integers.
+
+    Every endpoint of the factor is a numerator over the factor's own
+    denominator ``den``: the lcm of the hull, level-length and shift
+    denominators for a symmetric tree, of the hull, gap-endpoint and shift
+    denominators for any other tree, and of the value and shift
+    denominators for a point.  A piece is ``(addr, lo, hi)`` in those
+    numerators (addr is None for a point), and a piece is no wider than
+    2**-m exactly when ``(hi - lo) << m <= den``.
+
+    ``bits`` is None for an unshifted geometry, whose component boxes keep
+    the exact piece ends over ``den``.  A shifted geometry snaps its boxes
+    outward to 2**-bits, as the mapped cover does, and ``box_den`` is then
+    2**bits.  ``sq_scale``, set by the ``_Cover``, brings a squared box
+    length over ``box_den**2`` to the cover's common ``sq_den``.
+    """
+
+    __slots__ = (
+        "den", "depth", "top", "shift_lo", "shift_hi", "bits", "box_den", "sq_scale", "_lengths", "_gaps", "_stops"
+    )
+
+    def __init__(self, factor, shift: Interval, bits: int | None):
+        self._lengths = self._gaps = None
+        self.depth = 0
+        if isinstance(factor, GapTree):
+            self.depth = factor.depth
+            top = ("", factor.hull.lo, factor.hull.hi)
+            if isinstance(factor, SymmetricGapTree):
+                ends = factor.level_lengths
+            else:
+                gaps = {addr: factor.gap(addr) for n in range(factor.depth) for addr in addresses(n)}
+                ends = [end for g in gaps.values() for end in (g.lo, g.hi)]
+        else:
+            top, ends = (None, factor, factor), ()
+        den = self.den = math.lcm(*(end.denominator for end in (*top[1:], *ends, shift.lo, shift.hi)))
+        if isinstance(factor, SymmetricGapTree):
+            self._lengths = tuple(_over(length, den) for length in ends)
+            self._stops: dict[int, int] = {}
+        elif self.depth:
+            self._gaps = {addr: (_over(g.lo, den), _over(g.hi, den)) for addr, g in gaps.items()}
+        # The whole factor as one piece.
+        self.top = (top[0], _over(top[1], den), _over(top[2], den), ())
+        self.shift_lo, self.shift_hi = _over(shift.lo, den), _over(shift.hi, den)
+        self.bits = bits
+        self.box_den = den if bits is None else 1 << bits
+
+    def split(self, addr, lo: int, hi: int, m: int) -> list[tuple]:
+        """The pieces of ``(addr, lo, hi)`` no wider than 2**-m, left to
+        right.  A tree that runs out of depth stays at its leaf piece; the
+        cover just stays coarser there, which is sound."""
+        den = self.den
+        lengths = self._lengths
+        if lengths is not None:
+            # One width per level: the stopping depth is a function of m
+            # alone, so no per-piece width checks.
+            stop = self._stops.get(m)
+            if stop is None:
+                stop = self._stops[m] = next(
+                    (n for n, length in enumerate(lengths) if length << m <= den), self.depth
+                )
+            parts = [(addr, lo, hi)]
+            for n in range(len(addr), stop):
+                child = lengths[n + 1]
+                parts = [half for a, l, h in parts for half in ((a + "0", l, l + child), (a + "1", h - child, h))]
+            return parts
+        gaps = self._gaps
+        if gaps is None:
+            return [(addr, lo, hi)]
+        depth = self.depth
+        stack = [(addr, lo, hi)]
+        parts = []
+        while stack:
+            part = stack.pop()
+            a, l, h = part
+            if (h - l) << m <= den or len(a) >= depth:
+                parts.append(part)
+            else:
+                g_lo, g_hi = gaps[a]
+                stack.append((a + "1", g_hi, h))
+                stack.append((a + "0", l, g_lo))
+        return parts
+
+    def cube_range(self, lo: int, hi: int, m: int) -> tuple[int, int]:
+        """Index range of the closed cubes of side 2**-m meeting the shifted
+        piece [lo, hi] + shift: ceil(x*2**m - 1) and floor(y*2**m)."""
+        den = self.den
+        return -((den - ((lo + self.shift_lo) << m)) // den), ((hi + self.shift_hi) << m) // den
+
+    def components(self, pieces, m: int) -> tuple["AxisComponent", ...]:
+        """The 1-D components of ``pieces`` at level m.
+
+        Each piece is split to width 2**-m, and one left-to-right sweep
+        merges the sub-pieces: two touch when their cube index ranges come
+        within one cube of each other.  A sub-piece's key is its parent's
+        key plus its position within the parent."""
+        groups: list[list] = []
+        reach = None
+        for addr, lo, hi, key in pieces:
+            for pos, (sub, sub_lo, sub_hi) in enumerate(self.split(addr, lo, hi, m)):
+                first, last = self.cube_range(sub_lo, sub_hi, m)
+                if reach is None or first > reach + 1:
+                    groups.append([])
+                groups[-1].append((sub, sub_lo, sub_hi, key + (pos,)))
+                reach = last
+        return tuple(AxisComponent(self, tuple(group)) for group in groups)
+
+
+class AxisComponent:
+    """One component of a factor's 1-D cube cover at one level.
+
+    ``pieces`` are ``(addr, lo, hi, key)``, left to right, with lo and hi
+    numerators over ``axis.den``; a key holds the piece's position within
+    its parent piece at every level, which orders the product cells (see
+    ``_product_cells``).  ``lo`` and ``hi`` are the exact ends of the
+    pieces, ``box_lo`` and ``box_hi`` the box over ``axis.box_den``.  The
+    children one refinement step down are computed once and kept in one
+    slot, shared by every product component that holds this one.
+    """
+
+    __slots__ = ("axis", "pieces", "lo", "hi", "box_lo", "box_hi", "_interval", "_children")
+
+    def __init__(self, axis: _Axis, pieces: tuple):
+        self.axis = axis
+        self.pieces = pieces
+        # Pieces run left to right, so the ends are those of the first
+        # piece and the last.
+        lo, hi = self.lo, self.hi = pieces[0][1], pieces[-1][2]
+        if axis.bits is None:
+            self.box_lo, self.box_hi = lo, hi
+        else:
+            # Outward snap: floor and ceil of (end + shift) * 2**bits over den.
+            den, bits = axis.den, axis.bits
+            self.box_lo = ((lo + axis.shift_lo) << bits) // den
+            self.box_hi = -((-(hi + axis.shift_hi) << bits) // den)
+        self._interval = None
+        self._children = None
+
+    @property
+    def interval(self) -> Interval:
+        """The box as an ``Interval``, built on first read."""
+        if self._interval is None:
+            den = self.axis.box_den
+            self._interval = Interval(Fraction(self.box_lo, den), Fraction(self.box_hi, den))
+        return self._interval
+
+    @property
+    def width(self) -> int:
+        return self.box_hi - self.box_lo
+
+    def children(self, m: int) -> tuple["AxisComponent", ...]:
+        """The axis components of these pieces at level m, the next level
+        of every product component that holds this one."""
+        if self._children is None:
+            self._children = self.axis.components(self.pieces, m)
+        return self._children
+
+    def release(self):
+        """Drop the pieces and the cached children; the box stays."""
+        self.pieces = None
+        self._children = None
+
+
 class Component:
     """One connected component of the cube cover at level ``m``.
 
-    Keeps the source cells it came from (ratio bounds and export need
-    them), the outward bounding box, and the cube index ranges for export.
-    A component of a matrix-free geometry is a product and keeps only its
-    per-axis pieces in ``axes``; its ``cells`` and ``rects`` are built from
-    them on first use.  Children are the components of the refined cover
-    one step deeper, computed on first use and cached.
+    A component of a matrix-free geometry is a product: ``axes`` holds one
+    ``AxisComponent`` per factor, its children are the products of their
+    cached children, and its ``bbox``, ``cells`` and ``rects`` are built
+    from their integers on first read.  A component of a mapped geometry
+    has ``axes`` None and keeps the source cells it came from (ratio
+    bounds and export need them), its outward bounding box and its cube
+    index ranges.  Children are the components of the refined cover one
+    step deeper, computed on first use and cached.
     """
 
-    __slots__ = ("rep", "level", "bbox", "path", "axes", "_cells", "_rects", "_children")
+    __slots__ = ("cover", "level", "path", "axes", "_bbox", "_cells", "_rects", "_children")
 
-    def __init__(self, rep, level, bbox, path, *, cells=None, rects=None, axes=None):
-        self.rep = rep
+    def __init__(self, cover, level, bbox, path, *, cells=None, rects=None, axes=None):
+        self.cover = cover
         self.level = level
-        self.bbox = bbox
         self.path = path
         self.axes = axes
+        self._bbox = bbox
         self._cells = cells
         self._rects = rects
         self._children = None
+
+    @property
+    def bbox(self) -> tuple[Interval, ...]:
+        if self._bbox is None:
+            self._bbox = tuple(x.interval for x in self.axes)
+        return self._bbox
 
     @property
     def cells(self) -> tuple:
@@ -376,14 +555,10 @@ class Component:
     @property
     def rects(self) -> tuple:
         if self._rects is None:
-            scale = 1 << self.level
-            shift = self.rep.geometry.shift
+            m = self.level
             self._rects = tuple(
                 itertools.product(
-                    *(
-                        sorted({_cube_range(lo + s.lo, hi + s.hi, scale) for (_, lo, hi), _ in pieces})
-                        for pieces, s in zip(self.axes, shift)
-                    )
+                    *(sorted({x.axis.cube_range(lo, hi, m) for _, lo, hi, _ in x.pieces}) for x in self.axes)
                 )
             )
         return self._rects
@@ -393,19 +568,21 @@ class Component:
         return self._cells == ()
 
     def diam_sq(self) -> Fraction:
-        return sum((iv.hi - iv.lo) ** 2 for iv in self.bbox)
+        if self.axes is None:
+            return sum((iv.hi - iv.lo) ** 2 for iv in self.bbox)
+        return Fraction(sum(x.width ** 2 * x.axis.sq_scale for x in self.axes), self.cover.sq_den)
 
     def children(self) -> list["Component"]:
         if self._children is None:
             if self.stripped:
                 raise EmptyGeometry(f"component {self.path} was stripped and cannot expand")
-            level = self.level + self.rep.refine_step
-            if level > self.rep.max_level:
+            level = self.level + self.cover.refine_step
+            if level > self.cover.max_level:
                 self._children = []
             else:
-                self._children, widest_sq = self.rep._expand(self, level)
-                if widest_sq >= self.diam_sq():
-                    self.rep.not_shrinking.append(self.path)
+                self._children, shrinks = self.cover._expand(self, level)
+                if not shrinks:
+                    self.cover.not_shrinking.append(self.path)
         return self._children
 
     def descendants(self, k: int) -> list["Component"]:
@@ -418,8 +595,17 @@ class Component:
         """Drop cell-level data to keep deep certificate searches small.
 
         The bounding box and path survive, which is all that separation
-        floors and chains need."""
-        self.axes = ()
+        floors and chains need.  A product component releases the pieces
+        and cached children of its axis components and keeps their integer
+        boxes, so ``bbox`` can still be read and ``d_min`` still runs on
+        integers.  The search strips the children of a node once it is done
+        below them.  A component that shares an axis component with one of
+        them overlaps it on that axis, and the search only goes on into
+        components separated from it on every axis, so no component it
+        still expands loses its pieces."""
+        if self.axes is not None:
+            for x in self.axes:
+                x.release()
         self._cells = ()
         self._rects = ()
 
@@ -443,13 +629,6 @@ class Component:
         }
 
 
-def _cube_range(lo: Fraction, hi: Fraction, scale: int) -> tuple[int, int]:
-    """Index range of the closed cubes of side 1/scale meeting [lo, hi]:
-    ceil(lo*scale - 1) and floor(hi*scale), in plain ints."""
-    dn, dd = lo.numerator, lo.denominator
-    return -((dd - dn * scale) // dd), (hi.numerator * scale) // hi.denominator
-
-
 def _product_cells(axes) -> tuple:
     """The cells of a product component, in the order a cell-by-cell
     refinement produces them.
@@ -459,8 +638,12 @@ def _product_cells(axes) -> tuple:
     axis 0, axis 1, and so on.  Each piece carries those positions, one per
     level, as its key; interleaving the keys of the axes gives that order.
     """
+    per_axis = [
+        [((addr, Fraction(lo, x.axis.den), Fraction(hi, x.axis.den)), key) for addr, lo, hi, key in x.pieces]
+        for x in axes
+    ]
     combos = sorted(
-        itertools.product(*axes),
+        itertools.product(*per_axis),
         key=lambda combo: tuple(itertools.chain.from_iterable(zip(*(key for _, key in combo)))),
     )
     return tuple(tuple(part for part, _ in combo) for combo in combos)
@@ -473,7 +656,25 @@ class NestedRep:
     hands out its own children at ``m0 + refine_step`` and so on down to
     ``max_level``.  Nodes that fail to shrink are recorded on
     ``not_shrinking`` as they are discovered, never raised.
+
+    The components refer to the rep's ``cover``, which holds everything
+    but the components, so the tree holds no reference cycle: a rep that
+    is no longer used is freed at once, not at the next full collection.
     """
+
+    def __init__(self, geometry: ProductGeometry, m0: int, max_level: int, refine_step: int, bits: int):
+        cover = self.cover = _Cover(geometry, m0, max_level, refine_step, bits)
+        self.geometry, self.m0, self.max_level = geometry, m0, max_level
+        self.refine_step, self.bits, self.dim = refine_step, bits, geometry.dim
+        self.exact_hull = cover.exact_hull
+        self.not_shrinking = cover.not_shrinking
+        self.root_components = cover.roots()
+
+
+class _Cover:
+    """How the components of a ``NestedRep`` expand: the geometry, its
+    levels, the list of nodes that did not shrink and, for a matrix-free
+    geometry, one ``_Axis`` per factor (``axes``, else None)."""
 
     def __init__(self, geometry: ProductGeometry, m0: int, max_level: int, refine_step: int, bits: int):
         self.geometry = geometry
@@ -483,80 +684,49 @@ class NestedRep:
         self.bits = bits
         self.not_shrinking: list[str] = []
         self.exact_hull = geometry.exact_hull_box()
-        # A shifted product snaps its boxes outward to the dyadic grid, as
-        # the mapped cover does; an unshifted one keeps its exact endpoints.
-        self._snap = any(s.lo != 0 or s.hi != 0 for s in geometry.shift)
-        top = geometry.top_cell()
+        self.axes = None
         if geometry.matrix is None:
-            root, _ = self._product_components(tuple(((part, ()),) for part in top), m0, "r")
-        else:
-            root, _ = self._cover_components([top], m0, "r")
-        self.root_components = root
+            snap = bits if any(s.lo != 0 or s.hi != 0 for s in geometry.shift) else None
+            self.axes = [_Axis(f, s, snap) for f, s in zip(geometry.factors, geometry.shift)]
+            self.sq_den = math.lcm(*(axis.box_den ** 2 for axis in self.axes))
+            for axis in self.axes:
+                axis.sq_scale = self.sq_den // axis.box_den ** 2
 
-    @property
-    def dim(self) -> int:
-        return self.geometry.dim
+    def roots(self) -> list[Component]:
+        """The components at level ``m0``."""
+        if self.axes is None:
+            return self._cover_components([self.geometry.top_cell()], self.m0, "r")[0]
+        tops = [AxisComponent(axis, (axis.top,)).children(self.m0) for axis in self.axes]
+        return self._products(tops, self.m0, "r")
 
-    def _expand(self, comp: Component, m: int) -> tuple[list[Component], Fraction]:
-        """Children of ``comp`` at level ``m`` and the largest squared
-        diameter among them."""
-        if self.geometry.matrix is None:
-            return self._product_components(comp.axes, m, comp.path)
-        return self._cover_components(comp.cells, m, comp.path)
+    def _expand(self, comp: Component, m: int) -> tuple[list[Component], bool]:
+        """Children of ``comp`` at level ``m``, and whether the widest of
+        them is narrower than ``comp``.
 
-    def _product_components(self, axes, m: int, parent_path: str) -> tuple[list[Component], Fraction]:
-        """Cover of a product component, axis by axis.
+        A product's widest child is widest on every axis at once, so the
+        test compares per-axis widths, in integers, without a pass over
+        the children."""
+        if comp.axes is None:
+            children, widest_sq = self._cover_components(comp.cells, m, comp.path)
+            return children, widest_sq < comp.diam_sq()
+        per_axis = [x.children(m) for x in comp.axes]
+        growth = sum(
+            (max(kid.width for kid in kids) ** 2 - x.width ** 2) * x.axis.sq_scale
+            for x, kids in zip(comp.axes, per_axis)
+        )
+        return self._products(per_axis, m, comp.path), growth < 0
 
-        ``axes`` holds per axis the pieces ``(part, key)`` of the component.
-        Each axis refines its own pieces and merges them into 1-D components
-        with one left-to-right sweep: pieces touch when their cube index
-        ranges come within one cube of each other.  Two product cells touch
-        exactly when their pieces touch on every axis, so the cover graph is
-        the strong product of the per-axis graphs and its components are
-        the products of the per-axis components.  The widest product is
-        widest on every axis at once, which gives the largest squared
-        diameter without a pass over the products.
-        """
-        target = Fraction(1, 1 << m)
-        scale = 1 << m
-        per_axis = []
-        for j, pieces in enumerate(axes):
-            split = self.geometry.part_splitter(j, target)
-            shift = self.geometry.shift[j]
-            groups: list[list] = []
-            reach = None
-            for part, key in pieces:
-                for pos, sub in enumerate(split(part)):
-                    _, lo, hi = sub
-                    if self._snap:
-                        lo, hi = lo + shift.lo, hi + shift.hi
-                    lo, hi = _cube_range(lo, hi, scale)
-                    if reach is None or lo > reach + 1:
-                        groups.append([])
-                    groups[-1].append((sub, key + (pos,)))
-                    reach = hi
-            # Pieces run left to right, so a group reaches as far as its
-            # last piece, and its extremes are the low end of its first
-            # piece and the high end of its last.
-            per_axis.append(
-                [(tuple(g), self._axis_box(g[0][0][1], g[-1][0][2], shift)) for g in groups]
-            )
-        children = [
-            Component(
-                self,
-                m,
-                tuple(box for _, box in combo),
-                f"{parent_path}.{idx}",
-                axes=tuple(pieces for pieces, _ in combo),
-            )
+    def _products(self, per_axis, m: int, parent_path: str) -> list[Component]:
+        """The product components of per-axis components.
+
+        Two product cells touch exactly when their pieces touch on every
+        axis, so the cover graph is the strong product of the per-axis
+        graphs and its components are the products of the per-axis
+        components."""
+        return [
+            Component(self, m, None, f"{parent_path}.{idx}", axes=combo)
             for idx, combo in enumerate(itertools.product(*per_axis))
         ]
-        return children, sum(max(box.length for _, box in groups) ** 2 for groups in per_axis)
-
-    def _axis_box(self, lo: Fraction, hi: Fraction, shift: Interval) -> Interval:
-        if self._snap:
-            return Interval(round_down(lo + shift.lo, self.bits), round_up(hi + shift.hi, self.bits))
-        return Interval(lo, hi)
 
     def _cover_components(self, cells, m: int, parent_path: str) -> tuple[list[Component], Fraction]:
         """Cover of a mapped component, and the largest squared diameter
@@ -612,7 +782,7 @@ class NestedRep:
             for cell in refined
         ]
         # Closed cubes of side 2**-m meeting [lo, hi]: ceil(lo*2**m - 1)
-        # and floor(hi*2**m), as in _cube_range.
+        # and floor(hi*2**m), as in _Axis.cube_range.
         rects = [
             tuple((-((den - (box[k] << m)) // den), (box[k + 1] << m) // den) for k in range(0, 2 * d, 2))
             for box in boxes
@@ -717,6 +887,20 @@ def d_min(a, b) -> Fraction:
     they overlap or touch); the result is the minimum over axes.  Boxes are
     outward, so the true sets are at least this far apart on every axis.
     """
+    if isinstance(a, Component) and isinstance(b, Component) and a.axes and b.axes and a.cover is b.cover:
+        # Product components compare integer boxes; a box's denominator is
+        # its axis's, so the least gap is found by cross-multiplying.
+        best_n, best_q = None, 1
+        for xa, xb in zip(a.axes, b.axes):
+            gap = xb.box_lo - xa.box_hi
+            if gap <= 0:
+                gap = xa.box_lo - xb.box_hi
+                if gap <= 0:
+                    return Fraction(0)
+            den = xa.axis.box_den
+            if best_n is None or gap * best_q < best_n * den:
+                best_n, best_q = gap, den
+        return Fraction(best_n, best_q)
     box_a = a.bbox if isinstance(a, Component) else a
     box_b = b.bbox if isinstance(b, Component) else b
     best = None
@@ -855,10 +1039,11 @@ def kappa_ratios(a: Component, b: Component) -> tuple[Fraction, Fraction]:
     positive, and their cell pairs range over every combination of pieces,
     so the extremes are box arithmetic: with gap_i and span_i the least and
     greatest axis-i distance between the two boxes of unshifted pieces, the
-    bounds are min gap_i/span_j and max span_i/gap_j over axes i != j.
-    Raises ValueError on a one-axis geometry, where there is no ratio.
+    bounds are min gap_i/span_j and max span_i/gap_j over axes i != j,
+    compared as integers.  Raises ValueError on a one-axis geometry, where
+    there is no ratio.
     """
-    geometry = a.rep.geometry
+    geometry = a.cover.geometry
     d = geometry.dim
     if d < 2:
         raise ValueError("ratio bounds need at least two axes")
@@ -869,16 +1054,20 @@ def kappa_ratios(a: Component, b: Component) -> tuple[Fraction, Fraction]:
                 raise DegeneratePair(axis, f"components overlap along axis {axis}")
     if geometry.matrix is None:
         gaps, spans = [], []
-        for pieces_a, pieces_b in zip(a.axes, b.axes):
-            a_lo, a_hi = pieces_a[0][0][1], pieces_a[-1][0][2]
-            b_lo, b_hi = pieces_b[0][0][1], pieces_b[-1][0][2]
-            gaps.append(max(b_lo - a_hi, a_lo - b_hi))
-            spans.append(max(b_hi - a_lo, a_hi - b_lo))
-        pairs = list(itertools.permutations(range(d), 2))
-        return (
-            min(gaps[i] / spans[j] for i, j in pairs),
-            max(spans[i] / gaps[j] for i, j in pairs),
-        )
+        for xa, xb in zip(a.axes, b.axes):
+            gaps.append(max(xb.lo - xa.hi, xa.lo - xb.hi))
+            spans.append(max(xb.hi - xa.lo, xa.hi - xb.lo))
+        dens = [x.axis.den for x in a.axes]
+        # Over the numerators gap_i / span_j is (g_i * den_j) / (s_j * den_i);
+        # the least is kept as (n, q) and compared by cross-multiplying.
+        best_n, best_q = 1, 0  # n/q, starting at +infinity
+        for i, j in itertools.permutations(range(d), 2):
+            n, q = gaps[i] * dens[j], spans[j] * dens[i]
+            if n * best_q < best_n * q:
+                best_n, best_q = n, q
+        # The pairs (i, j) and (j, i) give reciprocal bounds, so the
+        # greatest span_i / gap_j is the reciprocal of the least gap/span.
+        return Fraction(best_n, best_q), Fraction(best_q, best_n)
     return _cell_ratio_bounds(
         [[(lo, hi) for _, lo, hi in cell] for cell in a.cells],
         [[(lo, hi) for _, lo, hi in cell] for cell in b.cells],
@@ -1385,7 +1574,7 @@ def image_separations(cert: UndCertificate, rows, shift) -> tuple[Fraction, ...]
     def image_bbox(comp: Component):
         if comp.stripped:
             raise InvalidCertificate("certificate was stripped; rebuild with keep_cells=True")
-        geometry = comp.rep.geometry
+        geometry = comp.cover.geometry
         per_axis = None
         for cell in comp.cells:
             src = geometry.cell_image_box(cell)

@@ -44,8 +44,8 @@ def square_cert():
 def deep_square_cert():
     """Ten-level certificate on a deeper thirds square.
 
-    The expensive fixture of the suite: about 38 s and a peak RSS of
-    333 MB while building, on a 2-core x86-64 VM with Python 3.11.7.
+    The expensive fixture of the suite: 9 to 13 s and a peak RSS of
+    281 MB while building, on a 2-core x86-64 VM with Python 3.11.7.
     Cells are dropped to keep the survivor small; only separations and
     bounding boxes are needed downstream.
     """

@@ -231,22 +231,28 @@ def reference_refine_cells(geometry, cells, target):
     """
     from cantorforge.cantor1d import GapTree
 
-    def pieces(tree, part):
-        addr, lo, hi = part
-        if hi - lo <= target or len(addr) >= tree.depth:
-            return [part]
-        out = []
-        for child in (addr + "0", addr + "1"):
-            iv = tree.interval(child)
-            out.extend(pieces(tree, (child, iv.lo, iv.hi)))
-        return out
-
     cells = list(cells)
     for j, factor in enumerate(geometry.factors):
         if not isinstance(factor, GapTree):
             continue
-        cells = [cell[:j] + (part,) + cell[j + 1:] for cell in cells for part in pieces(factor, cell[j])]
+        cells = [
+            cell[:j] + (part,) + cell[j + 1:] for cell in cells for part in _reference_pieces(factor, cell[j], target)
+        ]
     return cells
+
+
+def _reference_pieces(tree, part, target):
+    """The pieces of a tree part ``(addr, lo, hi)`` no wider than
+    ``target``, left to right, from ``interval`` on the child addresses;
+    a part at the tree's depth stays."""
+    addr, lo, hi = part
+    if hi - lo <= target or len(addr) >= tree.depth:
+        return [part]
+    out = []
+    for child in (addr + "0", addr + "1"):
+        iv = tree.interval(child)
+        out.extend(_reference_pieces(tree, (child, iv.lo, iv.hi), target))
+    return out
 
 
 def reference_cover_components(geometry, cells, m, parent_path, bits):
@@ -349,3 +355,98 @@ def reference_corner_ratio_scan(cells_a, cells_b, rows, d):
                         lo_best = lo if lo_best is None else min(lo_best, lo)
                         hi_best = hi if hi_best is None else max(hi_best, hi)
     return lo_best, hi_best
+
+
+# ---------------------------------------------------------------------------
+# product covers
+
+def reference_product_components(geometry, axes, m, parent_path, bits):
+    """The product cover below one component in ``Fraction``s, axis by axis.
+
+    ``axes`` holds per axis the pieces ``((addr, lo, hi), key)`` of the
+    component, left to right, with rational ends; a key is the piece's
+    position within its parent piece at every level.  Each piece is split
+    by ``_reference_pieces`` and the pieces of an axis are grouped left to
+    right, a new group starting when a piece's cube range, from
+    ``math.ceil``/``math.floor`` of the shifted ends, begins more than one
+    cube past the previous piece's.  A group's box is its first piece's
+    low end and its last piece's high end, shifted and snapped outward to
+    ``2**-bits`` with ``math.floor``/``math.ceil`` when the geometry is
+    shifted.  The components are the products of the groups, in
+    ``itertools.product`` order.  Returns ``(path, axes, bbox)`` per
+    component and the largest squared diameter among them.
+    """
+    import math
+
+    from cantorforge.cantor1d import GapTree
+
+    target = Fraction(1, 1 << m)
+    scale = 1 << m
+    unit = 1 << bits
+    snap = any(s.lo != 0 or s.hi != 0 for s in geometry.shift)
+    per_axis = []
+    for factor, shift, pieces in zip(geometry.factors, geometry.shift, axes):
+        groups = []
+        reach = None
+        for part, key in pieces:
+            subs = _reference_pieces(factor, part, target) if isinstance(factor, GapTree) else [part]
+            for pos, sub in enumerate(subs):
+                lo = math.ceil((sub[1] + shift.lo) * scale - 1)
+                if reach is None or lo > reach + 1:
+                    groups.append([])
+                groups[-1].append((sub, key + (pos,)))
+                reach = math.floor((sub[2] + shift.hi) * scale)
+        boxes = []
+        for group in groups:
+            lo, hi = group[0][0][1], group[-1][0][2]
+            if snap:
+                lo = Fraction(math.floor((lo + shift.lo) * unit), unit)
+                hi = Fraction(math.ceil((hi + shift.hi) * unit), unit)
+            boxes.append((tuple(group), (lo, hi)))
+        per_axis.append(boxes)
+    comps = [
+        (f"{parent_path}.{idx}", tuple(pieces for pieces, _ in combo), tuple(box for _, box in combo))
+        for idx, combo in enumerate(product(*per_axis))
+    ]
+    widest = sum(max(hi - lo for _, (lo, hi) in groups) ** 2 for groups in per_axis)
+    return comps, widest
+
+
+def reference_product_cells(axes):
+    """The cells of a product component: every combination of its pieces,
+    ordered by the interleaved keys (level by level, axis 0 first), which
+    is the order of a cell-by-cell refinement."""
+    combos = product(*axes)
+    ordered = sorted(combos, key=lambda combo: tuple(k for level in zip(*(key for _, key in combo)) for k in level))
+    return tuple(tuple(part for part, _ in combo) for combo in ordered)
+
+
+def reference_product_rects(geometry, axes, m):
+    """The cube ranges of a product component: per axis the sorted set of
+    its pieces' shifted ranges, from ``math.ceil``/``math.floor``, and
+    every combination of them."""
+    import math
+
+    scale = 1 << m
+    per_axis = [
+        sorted(
+            {(math.ceil((lo + s.lo) * scale - 1), math.floor((hi + s.hi) * scale)) for (_, lo, hi), _ in pieces}
+        )
+        for pieces, s in zip(axes, geometry.shift)
+    ]
+    return tuple(product(*per_axis))
+
+
+def reference_box_ratios(axes_a, axes_b):
+    """Ratio bounds of two separated product components from their boxes
+    of unshifted pieces: with gap_i and span_i the least and greatest
+    axis-i distance between them, min gap_i/span_j and max span_i/gap_j
+    over axes i != j, in ``Fraction``s."""
+    gaps, spans = [], []
+    for pieces_a, pieces_b in zip(axes_a, axes_b):
+        a_lo, a_hi = pieces_a[0][0][1], pieces_a[-1][0][2]
+        b_lo, b_hi = pieces_b[0][0][1], pieces_b[-1][0][2]
+        gaps.append(max(b_lo - a_hi, a_lo - b_hi))
+        spans.append(max(b_hi - a_lo, a_hi - b_lo))
+    pairs = [(i, j) for i in range(len(gaps)) for j in range(len(gaps)) if i != j]
+    return min(gaps[i] / spans[j] for i, j in pairs), max(spans[i] / gaps[j] for i, j in pairs)

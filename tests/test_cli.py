@@ -231,6 +231,37 @@ def test_bad_rational_pairs_are_config_errors(tmp_path, capsys, params, message)
     assert not out.exists()
 
 
+THIRDS3 = {"kind": "middle-thirds", "depth": 3}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"pipeline": "companion-1d", "params": {"set": THIRDS3, "levels": 2.9}}, "'params.levels'"),
+        ({"pipeline": "companion-1d", "params": {"set": {**THIRDS3, "depth": True}}}, "'params.set.depth'"),
+        ({"pipeline": "interior-1d", "params": {"set": THIRDS3, "levels": 2, "grid": "5"}}, "'params.grid'"),
+        (
+            {"pipeline": "companion-1d", "params": {"set": {**_explicit_thirds(), "tree": {
+                **_explicit_thirds()["tree"], "depth": 3.0}}, "levels": 2}},
+            "tree depth must be an integer",
+        ),
+        ({"pipeline": "companion-1d", "seed": 1.5, "params": {"set": THIRDS3, "levels": 2}}, "'seed'"),
+        ({"pipeline": "companion-1d", "precision_bits": 64.5, "params": {"set": THIRDS3}}, "'precision_bits'"),
+    ],
+    ids=["float-levels", "bool-depth", "string-grid", "float-tree-depth", "float-seed", "float-precision"],
+)
+def test_integer_fields_refuse_floats_bools_and_strings(tmp_path, capsys, config, message):
+    # int() would run "levels": 2.9 as 2 without a word
+    cfg = tmp_path / "int.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "int.out.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+    assert not out.exists()
+
+
 def test_symmetric_set_kind_builds_the_tree_it_names(tmp_path):
     # middle thirds to depth 6, written out gap by gap
     sets = {
@@ -289,6 +320,15 @@ def test_dump_rejects_mismatched_geometry(tmp_path, capsys):
         main(["dump", str(tmp_path / "rep.json"), "--format", "json"])
     assert exc.value.code == 1
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_dump_rejects_a_float_tree_depth(tmp_path, capsys):
+    tree = middle_thirds(2).to_json_obj()
+    tree["depth"] = 2.0
+    report = tmp_path / "tree.json"
+    report.write_text(json.dumps({"geometry": tree}))
+    assert main(["dump", str(report), "--format", "csv-intervals"]) == 1
+    assert "tree depth must be an integer" in capsys.readouterr().err
 
 
 def test_run_scenario_is_importable(tmp_path):

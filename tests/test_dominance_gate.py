@@ -3,10 +3,13 @@
 Each trial of ``robustness_sweep``, ``verify_H_interior`` and
 ``erdos_obstruction`` is decided by ``find_chain``: its failure reasons
 come from the ``DominanceReport`` that ``find_chain`` raises with, and a
-trial that reaches ``find_chain`` makes exactly one dominance check.
+trial that reaches ``find_chain`` makes exactly one dominance check.  A
+``companion-1d`` scenario and an Erdős family check their own pair once
+and hand that report on.
 """
 
 import dataclasses
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -134,5 +137,18 @@ def test_erdos_checks_once_per_chain(calls):
     report = erdos_obstruction(_erdos_base(), _erdos_family(20), WINDOW, 12)
     assert report.all_ok
     assert calls["find_chain"] == len(report.records)
-    # one check for the certified interval, one for the slack
-    assert calls["check_dominance"] == calls["find_chain"] + 2
+    # one more check, for the certified interval and the slack
+    assert calls["check_dominance"] == calls["find_chain"] + 1
+
+
+def test_companion_scenario_checks_once(calls, tmp_path):
+    cfg = tmp_path / "companion.json"
+    cfg.write_text(json.dumps({
+        "pipeline": "companion-1d",
+        "params": {"set": {"kind": "middle-thirds", "depth": 8}, "levels": 8},
+    }))
+    report, code = cli.run_scenario(str(cfg), out_path=str(tmp_path / "report.json"))
+    assert code == 0 and report["results"]["chain"]
+    # the chain and the certified interval reuse the scenario's report
+    assert calls["find_chain"] == 1
+    assert calls["check_dominance"] == 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from cantorforge.nested_rd import (
     CertificateNotFound,
     CertNode,
     DegeneratePair,
+    EmptyGeometry,
     InvalidCertificate,
     ProductGeometry,
     RotationMatrix,
@@ -240,6 +242,28 @@ def test_dropping_cells_changes_no_separation(square_cert):
     assert lean.dk == cert.dk
     with pytest.raises(InvalidCertificate):
         lean.to_json_obj()
+    # Every stripped component keeps its path, its box and its separation
+    # from each sibling, against a rep that kept everything.
+    full = build_nested_rep(geom, 2, 11, refine_step=3)
+    stack = [(rep.root_components, full.root_components)]
+    seen = 0
+    while stack:
+        lean_comps, full_comps = stack.pop()
+        assert [c.path for c in lean_comps] == [c.path for c in full_comps]
+        pairs = list(zip(lean_comps, full_comps))
+        for a, b in pairs:
+            assert a.stripped and not b.stripped
+            assert a.bbox == b.bbox
+        for (a, b), (c, e) in itertools.combinations(pairs, 2):
+            assert d_min(a, c) == d_min(b, e)
+        seen += len(pairs)
+        for a, b in pairs:
+            try:
+                kids = a.children()
+            except EmptyGeometry:  # stripped before its children were built
+                continue
+            stack.append((kids, b.children()))
+    assert seen > 2 * len(rep.root_components)
 
 
 def test_floors_refuse_a_non_positive_separation(square_cert):

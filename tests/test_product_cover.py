@@ -7,6 +7,11 @@ same components with the same paths, cells and cube ranges; only the
 unshifted product keeps exact box endpoints where the mapped cover snaps
 them outward.  The box-gap ratio bounds of the product path must equal a
 direct corner scan over the exported source cells.
+
+The product path works on integers: each factor's pieces and boxes are
+numerators over one denominator.  ``oracles.reference_product_components``
+is the same cover in ``Fraction``s, and every component, box, cell, cube
+range, diameter and ratio bound must agree with it at every level.
 """
 
 import itertools
@@ -15,6 +20,8 @@ import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from cantorforge.cantor1d import ExplicitGapTree, Interval, addresses, build_binary_ifs, middle_thirds
 from cantorforge.nested_rd import (
@@ -123,3 +130,48 @@ def test_box_gap_ratios_match_a_corner_scan(case):
             cells_a = _parse_cells(json.loads(json.dumps(a.to_json_obj()))["source_cells"])
             cells_b = _parse_cells(json.loads(json.dumps(b.to_json_obj()))["source_cells"])
             assert kappa_ratios(a, b) == _cell_ratio_bounds(cells_a, cells_b, None, geom.dim)
+
+
+@settings(max_examples=40)
+@given(geometries())
+def test_integer_product_cover_matches_the_fraction_reference(case):
+    geom, m0, max_level, step = case
+    rep = build_nested_rep(geom, m0, max_level, step)
+    top = tuple(((part, ()),) for part in geom.top_cell())
+    expected, _ = oracles.reference_product_components(geom, top, m0, "r", rep.bits)
+    comps = rep.root_components
+    while comps:
+        assert [c.path for c in comps] == [path for path, _, _ in expected]
+        deeper, deeper_expected = [], []
+        for comp, (_, axes, bbox) in zip(comps, expected):
+            assert [(iv.lo, iv.hi) for iv in comp.bbox] == list(bbox)
+            assert comp.cells == oracles.reference_product_cells(axes)
+            assert comp.rects == oracles.reference_product_rects(geom, axes, comp.level)
+            children = comp.children()
+            if not children:
+                continue
+            kids, widest = oracles.reference_product_components(geom, axes, comp.level + step, comp.path, rep.bits)
+            assert max(child.diam_sq() for child in children) == widest
+            diam_sq = sum((hi - lo) ** 2 for lo, hi in bbox)
+            assert (comp.path in rep.not_shrinking) == (widest >= diam_sq)
+            deeper += children
+            deeper_expected += kids
+        if len(comps) <= 12:
+            for (a, (_, axes_a, _)), (b, (_, axes_b, _)) in itertools.combinations(zip(comps, expected), 2):
+                if d_min(a, b) > 0:
+                    assert kappa_ratios(a, b) == oracles.reference_box_ratios(axes_a, axes_b)
+        comps, expected = deeper, deeper_expected
+
+
+@settings(max_examples=40)
+@given(geometries())
+def test_integer_separations_and_diameters_match_the_boxes(case):
+    geom, m0, max_level, step = case
+    rep = build_nested_rep(geom, m0, max_level, step)
+    level = 0
+    while comps := components_at(rep, level):
+        level += 1
+        for comp in comps:
+            assert comp.diam_sq() == sum((iv.hi - iv.lo) ** 2 for iv in comp.bbox)
+        for a, b in itertools.combinations(comps[:12], 2):
+            assert d_min(a, b) == d_min(a.bbox, b.bbox)
