@@ -583,9 +583,12 @@ def erdos_obstruction(
     translates can leave holes, and such a map may end with the reason
     ``no-translate-in-window``.  Maps outside the slack bounds and maps
     whose image escapes the window are both rejected upfront with
-    FamilyOutOfSlack.
+    FamilyOutOfSlack.  An empty family raises ValueError: it would be
+    reported as all hit while nothing was tried.
     """
     family = [(as_rat(l), as_rat(t)) for l, t in family]
+    if not family:
+        raise ValueError("the family holds no map")
     khat = build_companion(k, levels, margin=margin, factor=factor)
     report = check_dominance(k, khat, levels)
     certified = certify_difference_interior(k, khat, levels, report=report)

@@ -14,8 +14,10 @@ is rejected rather than clamped.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 
@@ -276,7 +278,9 @@ class SymmetricGapTree(GapTree):
         self.level_lengths = tuple(lengths)
 
     @classmethod
-    def _derived(cls, hull: Interval, gap_lengths: tuple, level_lengths: tuple) -> "SymmetricGapTree":
+    def _derived(
+        cls, hull: Interval, gap_lengths: tuple, level_lengths: tuple, integer_lengths: tuple
+    ) -> "SymmetricGapTree":
         """Tree from per-level data taken exactly from a valid tree, so the
         feasibility walk of ``__init__`` is skipped (see ``affine_image``)."""
         tree = cls.__new__(cls)
@@ -284,7 +288,18 @@ class SymmetricGapTree(GapTree):
         tree.gap_lengths = gap_lengths
         tree.depth = len(gap_lengths)
         tree.level_lengths = level_lengths
+        tree.integer_lengths = integer_lengths
         return tree
+
+    @cached_property
+    def integer_lengths(self) -> tuple[tuple[int, ...], int]:
+        """``level_lengths`` as integer numerators over one denominator.
+
+        Built on first use; ``affine_image`` hands the pair on to the trees
+        it derives, so a chain walk over them adds and compares ints.
+        """
+        den = math.lcm(*(length.denominator for length in self.level_lengths))
+        return tuple(length.numerator * (den // length.denominator) for length in self.level_lengths), den
 
     def interval(self, addr: str) -> Interval:
         _check_addr(addr, self.depth, gap=False)
@@ -432,10 +447,13 @@ def affine_image(tree: GapTree, lam, t) -> GapTree:
         # the scaled tuples are the ones SymmetricGapTree would derive.
         scale = abs(lam)
         gaps, lengths = tree.gap_lengths, tree.level_lengths
+        integer_lengths = tree.integer_lengths
         if scale != 1:
             gaps = tuple(scale * g for g in gaps)
             lengths = tuple(scale * length for length in lengths)
-        return SymmetricGapTree._derived(map_iv(tree.hull), gaps, lengths)
+            nums, den = integer_lengths
+            integer_lengths = tuple(scale.numerator * num for num in nums), den * scale.denominator
+        return SymmetricGapTree._derived(map_iv(tree.hull), gaps, lengths, integer_lengths)
     flip = lam < 0
     gaps = {}
     for n in range(tree.depth):

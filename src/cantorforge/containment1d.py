@@ -5,7 +5,8 @@ of the companion Kt whose gap is shorter than K's gap there, then at least
 one child of K fits entirely inside a child of Kt, and we can descend one
 level.  Iterating pins a point of K and a point of Kt inside a common
 interval whose length bounds their distance.  Everything here runs on exact
-rationals, so a produced chain is a proof, not an estimate.
+rationals, or on integers over one common denominator, so a produced chain
+is a proof, not an estimate.
 
 Companions built with a gap factor < 1 make the descent available from every
 starting translate inside the hull margin, which is what turns the chain
@@ -14,6 +15,7 @@ into an interior statement for the difference set K - Kt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,14 +144,26 @@ def find_chain(k: GapTree, kt: GapTree, levels: int, report: DominanceReport | N
     that already holds ``check_dominance(k, kt, levels)`` passes it as
     ``report``, and the check is not made again.
 
-    The walk carries ``(addr, lo, hi)`` of the held node of each tree from
-    ``interval("")`` down and splits it with ``split_interval``, so a step
-    costs O(1) and a chain O(levels); no address is re-walked from the root.
+    Two walks take the same steps and return the same chain, each in
+    O(levels).  When both trees are symmetric, every level-n interval of a
+    tree has one length, so a held node is its left end alone and the walk
+    adds and compares integers over one denominator (``_symmetric_walk``);
+    every chain of ``sweep-1d``, ``interior-1d``, ``erdos-demo`` and
+    ``companion-1d`` runs there.  Any other pair, explicit trees and the
+    slice images of the distance demos among them, carries ``(addr, lo,
+    hi)`` of each held node and splits it with ``split_interval``
+    (``_split_walk``), because only the tree knows its children.
     """
     if report is None:
         report = check_dominance(k, kt, levels)
     if not report.overall:
         raise DominanceNotVerified(report)
+    if isinstance(k, SymmetricGapTree) and isinstance(kt, SymmetricGapTree):
+        return _symmetric_walk(k, kt, levels)
+    return _split_walk(k, kt, levels)
+
+
+def _split_walk(k: GapTree, kt: GapTree, levels: int) -> WitnessChain:
     root_k = k.interval("")
     root_t = kt.interval("")
     node_k = ("", root_k.lo, root_k.hi)
@@ -173,6 +187,45 @@ def find_chain(k: GapTree, kt: GapTree, levels: int, report: DominanceReport | N
         witness_k=(lo_k + hi_k) / 2,
         witness_kt=(lo_t + hi_t) / 2,
         bound=hi_t - lo_t,
+    )
+
+
+def _symmetric_walk(k: SymmetricGapTree, kt: SymmetricGapTree, levels: int) -> WitnessChain:
+    """``_split_walk`` for two symmetric trees, on integers over D.
+
+    D is the lcm of both trees' length denominators and both ``hull.lo``
+    denominators, so every end below is an exact integer multiple of 1/D.
+    The held nodes are [a, a + L_n] of k and [b, b + T_n] of kt, and
+    c = T_{n+1} - L_{n+1}.  The left children nest when 0 <= a - b < c and
+    the right ones when 0 <= (b + T_n) - (a + L_n) < c: the two tests of
+    ``_split_walk`` with the child ends written out.  Both trees take the
+    same bit at every level, so each pair holds one address twice.
+    """
+    nums_k, den_k = k.integer_lengths
+    nums_t, den_t = kt.integer_lengths
+    lo_k, lo_t = k.hull.lo, kt.hull.lo
+    den = math.lcm(den_k, den_t, lo_k.denominator, lo_t.denominator)
+    len_k = [num * (den // den_k) for num in nums_k[: levels + 1]]
+    len_t = [num * (den // den_t) for num in nums_t[: levels + 1]]
+    a = lo_k.numerator * (den // lo_k.denominator)
+    b = lo_t.numerator * (den // lo_t.denominator)
+    bits = []
+    for n in range(levels):
+        c = len_t[n + 1] - len_k[n + 1]
+        if 0 <= a - b < c:
+            bits.append("0")
+        elif 0 <= (b + len_t[n]) - (a + len_k[n]) < c:
+            a += len_k[n] - len_k[n + 1]
+            b += len_t[n] - len_t[n + 1]
+            bits.append("1")
+        else:
+            raise ChainBroken(n + 1)
+    path = "".join(bits)
+    return WitnessChain(
+        pairs=tuple((path[:n], path[:n]) for n in range(1, levels + 1)),
+        witness_k=Fraction(2 * a + len_k[levels], 2 * den),
+        witness_kt=Fraction(2 * b + len_t[levels], 2 * den),
+        bound=Fraction(len_t[levels], den),
     )
 
 
@@ -253,7 +306,13 @@ class PerturbationSpec:
 
 
 def grid_values(rng: Interval, count: int) -> list[Fraction]:
-    """Evenly spaced rationals across the range, endpoints included."""
+    """Evenly spaced rationals across the range, endpoints included.
+
+    A count below 1 raises ValueError: a grid of no values would certify
+    nothing and still report success.
+    """
+    if count < 1:
+        raise ValueError(f"a grid needs at least 1 value, got {count}")
     if count == 1:
         return [rng.lo]
     step = rng.length / (count - 1)

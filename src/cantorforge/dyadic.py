@@ -129,10 +129,15 @@ def pow_bounds(x: Fraction, e: Fraction, bits: int) -> tuple[Fraction, Fraction]
 
 
 def iv_pow(v: Interval, e: Fraction, bits: int) -> Interval:
-    """v ** e for v.lo > 0; monotone in the base for e of fixed sign."""
+    """v ** e for v.lo > 0; monotone in the base for e of fixed sign.
+
+    A point interval is enclosed once: both ends would give the same bounds.
+    """
     if v.lo <= 0:
         raise ValueError("iv_pow requires a strictly positive interval")
     a_lo, a_hi = pow_bounds(v.lo, e, bits)
+    if v.lo == v.hi:
+        return Interval(a_lo, a_hi)
     b_lo, b_hi = pow_bounds(v.hi, e, bits)
     if e >= 0:
         return Interval(a_lo, b_hi)

@@ -1,15 +1,17 @@
-"""The O(levels) chain walk against the walk that re-enters the trees.
+"""The O(levels) chain walks against the walk that re-enters the trees.
 
-``find_chain`` descends with ``split_interval``, carrying the held node of
-each tree.  These tests pin that every tree kind's ``split_interval``
-returns exactly the children ``interval`` gives, and that the walk returns
-the same chain as ``oracles.reference_find_chain``, or breaks at the same
-level.
+``find_chain`` walks two symmetric trees on integers and descends any other
+pair with ``split_interval``, carrying the held node of each tree.  These
+tests pin that every tree kind's ``split_interval`` returns exactly the
+children ``interval`` gives, that the integer lengths a symmetric tree
+hands on equal its ``level_lengths``, and that both walks return the same
+chain as ``oracles.reference_find_chain``, or break at the same level.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
@@ -205,3 +207,65 @@ def test_walks_break_at_the_same_level():
 
     outcome = assert_same_chain(make_pair, 12)
     assert outcome[0] == "chain-broken" and 1 < outcome[1] <= 12
+
+
+def assert_integer_lengths(tree):
+    nums, den = tree.integer_lengths
+    assert tuple(Fraction(num, den) for num in nums) == tree.level_lengths
+
+
+@pytest.mark.parametrize(
+    "lam", [Fraction(1), Fraction(-1), Fraction(101, 100), Fraction(-3, 7), Fraction(22, 9)]
+)
+def test_affine_image_hands_on_integer_lengths(lam):
+    base = build_binary_ifs(Interval(Fraction(-1, 3), Fraction(7, 5)), Fraction(2, 7), 16)
+    img = affine_image(base, lam, Fraction(5, 11))
+    assert_integer_lengths(img)
+    again = affine_image(img, Fraction(-13, 12), Fraction(1, 17))
+    assert_integer_lengths(again)
+    if abs(lam) == 1:
+        assert img.integer_lengths is base.integer_lengths
+
+
+def erdos_like_pair(rng):
+    """A symmetric pair as erdos-demo, sweep-1d or interior-1d builds it,
+    with hull ends over denominators unrelated to the lengths.
+
+    The map x -> lam (x - mid) + mid + t moves one tree about its own hull
+    midpoint.  A thin margin lets the hull escape when |lam| < 1, so some
+    trials fail their dominance gate; a symmetric pair that passes it
+    always chains.
+    """
+    levels = rng.randint(16, 24)
+    lo = Fraction(rng.randint(-40, 40), rng.choice((7, 11, 13, 17)))
+    hull = Interval(lo, lo + Fraction(rng.randint(1, 5), rng.choice((1, 3, 19))))
+    k = build_binary_ifs(hull, rng.choice((Fraction(1, 10), Fraction(2, 7), Fraction(1, 3))), levels)
+    margin = hull.length / rng.choice((10, 1000))
+    kt = build_companion(k, levels, margin, rng.choice((Fraction(1, 2), Fraction(99, 100))))
+    lam = Fraction(rng.randint(90, 110), 100) * rng.choice((1, -1))
+    t = Fraction(rng.randint(-20, 20), 23) * hull.length / 100
+    mid = hull.midpoint()
+    if rng.random() < 0.5:
+        # the moved tree on the k side, against a translate of the companion
+        nudge = Fraction(rng.randint(-5, 5), 29) * hull.length / 100
+        return affine_image(k, lam, (1 - lam) * mid + t + nudge), affine_image(kt, Fraction(1), t), levels
+    return k, affine_image(kt, lam, (1 - lam) * mid + t), levels
+
+
+def test_symmetric_walk_matches_reference_without_splitting(monkeypatch):
+    def no_split(self, addr, lo, hi):
+        raise AssertionError("a symmetric pair must not split nodes")
+
+    monkeypatch.setattr(SymmetricGapTree, "split_interval", no_split)
+    rng = random.Random(20241019)
+    outcomes = []
+    for _ in range(40):
+        k, kt, levels = erdos_like_pair(rng)
+        assert_integer_lengths(k)
+        assert_integer_lengths(kt)
+        new = chain_outcome(find_chain, k, kt, levels)
+        assert new == chain_outcome(oracles.reference_find_chain, k, kt, levels)
+        outcomes.append(new[0] if isinstance(new, tuple) else "chain")
+    # the cases reach both ends: chains that hold and trials that fail
+    assert outcomes.count("chain") >= 10
+    assert len(set(outcomes)) > 1

@@ -10,7 +10,8 @@ from cantorforge.nested_rd import RotationMatrix
 
 # Older versions read the precision from this variable; it must change nothing.
 PRECISION_ENV = "CANTOR_FORGE_PRECISION_BITS"
-SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "demos" / "scenarios").glob("*.json"))
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+SCENARIOS = sorted(SCENARIO_DIR.glob("*.json"))
 
 
 def run_to(tmp_path, config_path, name, extra=()):
@@ -255,6 +256,35 @@ def test_integer_fields_refuse_floats_bools_and_strings(tmp_path, capsys, config
     cfg = tmp_path / "int.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "int.out.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+    assert not out.exists()
+
+
+def _scenario_with(name, **params):
+    config = json.loads((SCENARIO_DIR / name).read_text())
+    config["params"].update(params)
+    return config
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (_scenario_with("interior_translates.json", grid=0), "at least 1 value, got 0"),
+        (_scenario_with("interior_translates.json", grid=-3), "at least 1 value, got -3"),
+        (_scenario_with("interior_square.json", grid=0), "at least 1 value, got 0"),
+        (_scenario_with("erdos_translates.json", family={"kind": "demo-grid", "count": 0}), "holds no map"),
+        (_scenario_with("erdos_translates.json", family=[]), "holds no map"),
+    ],
+    ids=["interior-1d-zero", "interior-1d-negative", "interior-rd-zero", "erdos-count-zero", "erdos-empty-list"],
+)
+def test_grids_without_trials_are_config_errors(tmp_path, capsys, config, message):
+    # zero trials used to exit 0 with "all_ok": true
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "empty.out.json"
     assert main(["run", str(cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
