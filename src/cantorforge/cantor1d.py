@@ -184,7 +184,7 @@ class GapTree:
 
         Callers pass the interval they already hold for ``addr``; this costs
         O(1) instead of the O(|addr|) of two interval() calls, which matters
-        when covers refine millions of cells.
+        when chain walks and level scans split every node they hold.
         """
         g = self.gap(addr)
         return (addr + "0", lo, g.lo), (addr + "1", g.hi, hi)
@@ -366,8 +366,9 @@ class SymmetricGapTree(GapTree):
 class ExplicitGapTree(GapTree):
     """Tree with an explicit gap interval per node, e.g. one read from JSON.
 
-    Construction validates the whole structure: every gap must sit strictly
-    inside its interval, leaving two children of positive length.
+    Construction validates the whole structure: every node needs one gap
+    that sits strictly inside its interval, leaving two children of
+    positive length, and a gap at an address that is no node is refused.
     """
 
     def __init__(self, hull: Interval, depth: int, gaps: dict[str, Interval]):
@@ -393,6 +394,9 @@ class ExplicitGapTree(GapTree):
                     raise GapConstraintViolation(n, f"gap at node {addr!r} has zero length")
                 self._intervals[addr + "0"] = Interval(iv.lo, g.lo)
                 self._intervals[addr + "1"] = Interval(g.hi, iv.hi)
+        extra = [addr for addr in self.gaps if addr not in self._intervals or len(addr) == depth]
+        if extra:
+            raise ValueError(f"gap for {extra[0]!r}, which is not a node of a depth-{depth} tree")
 
     def interval(self, addr: str) -> Interval:
         _check_addr(addr, self.depth, gap=False)
@@ -478,6 +482,8 @@ def tree_from_json_obj(obj: dict) -> GapTree:
         return tree
     gaps = {}
     for entry in obj["gaps"]:
+        if entry["addr"] in gaps:
+            raise ValueError(f"two gaps for node {entry['addr']!r}")
         gaps[entry["addr"]] = Interval(rat_from_pair(entry["lo"]), rat_from_pair(entry["hi"]))
     return ExplicitGapTree(hull, depth, gaps)
 

@@ -19,9 +19,9 @@ every product component that holds it shares the result: a node's
 children are the products of its axis components' children.
 Separations, diameters and ratio bounds of product components compare
 those integers and build a ``Fraction`` only for the value they return.
-A mapped geometry mixes the axes, so its cover is built from the image
-boxes of the product cells with a union-find; each box is a sum of
-per-axis image columns, one column per factor piece.
+A mapped geometry mixes the axes, so its cover joins the image boxes of
+integer product cells with a union-find; each box is a sum of per-axis
+image columns, one column per factor piece.
 
 A non-degeneracy certificate picks, inside every node, d+1 descendant
 components that are pairwise separated on every coordinate axis.  All
@@ -237,7 +237,6 @@ class ProductGeometry:
         if shift is None:
             shift = (Fraction(0),) * self.dim
         self.shift = tuple(_as_interval(s) for s in shift)
-        self._splitters: dict = {}
 
     def with_matrix(self, matrix: RotationMatrix) -> "ProductGeometry":
         if self.matrix is not None:
@@ -275,74 +274,30 @@ class ProductGeometry:
     def exact_hull_box(self) -> tuple[Interval, ...]:
         return self.cell_image_box(self.top_cell())
 
-    def part_splitter(self, j: int, target: Fraction):
-        """Function taking a factor-``j`` part ``(addr, lo, hi)`` to its
-        pieces no wider than ``target``, left to right.
+    @cached_property
+    def axes(self) -> tuple["_Axis", ...]:
+        """One unshifted ``_Axis`` per factor: the integer pieces that a
+        mapped cover refines and maps, built on first read."""
+        return tuple(_Axis(f, Interval.point(0), None) for f in self.factors)
 
-        A factor whose tree runs out of depth stays at its leaf interval;
-        the cover just stays coarser there, which is sound.  Splitters are
-        cached per factor and target, so a symmetric tree's stopping depth
-        is found once per level, not once per part.
-        """
-        key = (j, target)
-        splitter = self._splitters.get(key)
-        if splitter is None:
-            splitter = self._splitters[key] = self._make_splitter(self.factors[j], target)
-        return splitter
-
-    @staticmethod
-    def _make_splitter(f, target: Fraction):
-        if not isinstance(f, GapTree):
-            return lambda part: (part,)
-        split = f.split_interval
-        depth = f.depth
-        if isinstance(f, SymmetricGapTree):
-            # One interval width per level: the stopping depth is a
-            # function of the target alone, so no per-part width checks.
-            stop = next((lvl for lvl, width in enumerate(f.level_lengths) if width <= target), depth)
-
-            def split_symmetric(part):
-                parts = [part]
-                for _ in range(stop - len(part[0])):
-                    parts = [half for p in parts for half in split(*p)]
-                return parts
-
-            return split_symmetric
-
-        def split_explicit(part):
-            stack = [part]
-            parts = []
-            while stack:
-                part = stack.pop()
-                addr, lo, hi = part
-                if hi - lo <= target or len(addr) >= depth:
-                    parts.append(part)
-                else:
-                    left, right = split(addr, lo, hi)
-                    stack.append(right)
-                    stack.append(left)
-            return parts
-
-        return split_explicit
-
-    def refine_cells(self, cells, target: Fraction) -> list[tuple]:
-        """Split cells until every tree factor's interval is <= target wide.
+    def refine_cells(self, cells, m: int) -> list[tuple]:
+        """Split integer cells, whose ends are numerators over the ``den``
+        of each factor's entry in ``axes``, to pieces no wider than 2**-m.
 
         The cells of a component share pieces, so each distinct piece is
-        split once per axis, keyed by its address (a point factor has the
-        single address None).  A cell's refinement is the product of its
-        pieces' splits: cell by cell, then by position on axis 0, axis 1,
-        and so on, the order a factor-after-factor split gives.
+        split once per axis, keyed by its address.  A cell's refinement is
+        the product of its pieces' splits: cell by cell, then by position
+        on axis 0, axis 1, and so on, the order a factor-after-factor split
+        gives.
         """
-        splitters = [self.part_splitter(j, target) for j in range(self.dim)]
         splits = [{} for _ in range(self.dim)]
         out = []
         for cell in cells:
             per_axis = []
-            for split, seen, part in zip(splitters, splits, cell):
-                pieces = seen.get(part[0])
+            for axis, seen, piece in zip(self.axes, splits, cell):
+                pieces = seen.get(piece[0])
                 if pieces is None:
-                    pieces = seen[part[0]] = split(part)
+                    pieces = seen[piece[0]] = axis.split(*piece, m)
                 per_axis.append(pieces)
             out.extend(itertools.product(*per_axis))
         return out
@@ -353,7 +308,7 @@ class ProductGeometry:
 
 
 class _Axis:
-    """One factor of a matrix-free product, in integers.
+    """One factor of a product, in integers.
 
     Every endpoint of the factor is a numerator over the factor's own
     denominator ``den``: the lcm of the hull, level-length and shift
@@ -363,6 +318,8 @@ class _Axis:
     numerators (addr is None for a point), and a piece is no wider than
     2**-m exactly when ``(hi - lo) << m <= den``.
 
+    A matrix-free cover builds one per factor with the geometry's shift; a
+    mapped cover splits the pieces of unshifted ones (``ProductGeometry.axes``).
     ``bits`` is None for an unshifted geometry, whose component boxes keep
     the exact piece ends over ``den``.  A shifted geometry snaps its boxes
     outward to 2**-bits, as the mapped cover does, and ``box_den`` is then
@@ -522,21 +479,24 @@ class Component:
     ``AxisComponent`` per factor, its children are the products of their
     cached children, and its ``bbox``, ``cells`` and ``rects`` are built
     from their integers on first read.  A component of a mapped geometry
-    has ``axes`` None and keeps the source cells it came from (ratio
-    bounds and export need them), its outward bounding box and its cube
-    index ranges.  Children are the components of the refined cover one
-    step deeper, computed on first use and cached.
+    has ``axes`` None and keeps the integer cells it came from as
+    ``pieces`` (children and ratio bounds work on them; ``cells`` are
+    built from them at each read and not kept, as an export reads them
+    once), its outward bounding box and its cube index ranges.  Children
+    are the components of the refined cover one step deeper, computed on
+    first use and cached.
     """
 
-    __slots__ = ("cover", "level", "path", "axes", "_bbox", "_cells", "_rects", "_children")
+    __slots__ = ("cover", "level", "path", "axes", "pieces", "_bbox", "_cells", "_rects", "_children")
 
-    def __init__(self, cover, level, bbox, path, *, cells=None, rects=None, axes=None):
+    def __init__(self, cover, level, bbox, path, *, pieces=None, rects=None, axes=None):
         self.cover = cover
         self.level = level
         self.path = path
         self.axes = axes
+        self.pieces = pieces
         self._bbox = bbox
-        self._cells = cells
+        self._cells = None
         self._rects = rects
         self._children = None
 
@@ -548,6 +508,8 @@ class Component:
 
     @property
     def cells(self) -> tuple:
+        if self.pieces is not None:
+            return _fraction_cells(self.cover.geometry.axes, self.pieces)
         if self._cells is None:
             self._cells = _product_cells(self.axes)
         return self._cells
@@ -606,6 +568,7 @@ class Component:
         if self.axes is not None:
             for x in self.axes:
                 x.release()
+        self.pieces = None
         self._cells = ()
         self._rects = ()
 
@@ -649,6 +612,22 @@ def _product_cells(axes) -> tuple:
     return tuple(tuple(part for part, _ in combo) for combo in combos)
 
 
+def _fraction_cells(axes, pieces) -> tuple:
+    """Integer cells over the dens of ``axes`` as ``Fraction`` cells, with
+    one shared tuple per distinct piece, as refinement shares them."""
+    shared = [{} for _ in axes]
+    out = []
+    for cell in pieces:
+        parts = []
+        for axis, seen, (addr, lo, hi) in zip(axes, shared, cell):
+            part = seen.get(addr)
+            if part is None:
+                part = seen[addr] = (addr, Fraction(lo, axis.den), Fraction(hi, axis.den))
+            parts.append(part)
+        out.append(tuple(parts))
+    return tuple(out)
+
+
 class NestedRep:
     """Lazily expanded tree of cube-cover components.
 
@@ -674,7 +653,9 @@ class NestedRep:
 class _Cover:
     """How the components of a ``NestedRep`` expand: the geometry, its
     levels, the list of nodes that did not shrink and, for a matrix-free
-    geometry, one ``_Axis`` per factor (``axes``, else None)."""
+    geometry, one ``_Axis`` per factor (``axes``, else None).  A mapped
+    cover keeps the matrix as integer ``rows``, and ``scales`` per factor
+    and the shift ``offset`` that bring column sums to one ``den``."""
 
     def __init__(self, geometry: ProductGeometry, m0: int, max_level: int, refine_step: int, bits: int):
         self.geometry = geometry
@@ -691,11 +672,18 @@ class _Cover:
             self.sq_den = math.lcm(*(axis.box_den ** 2 for axis in self.axes))
             for axis in self.axes:
                 axis.sq_scale = self.sq_den // axis.box_den ** 2
+        else:
+            row_den, self.rows = _integer_rows(geometry.matrix.rows)
+            dens = [row_den * axis.den for axis in geometry.axes]
+            shift = [end for s in geometry.shift for end in (s.lo, s.hi)]
+            den = self.den = math.lcm(*dens, *(end.denominator for end in shift))
+            self.offset = tuple(_over(end, den) for end in shift)
+            self.scales = tuple(den // x for x in dens)
 
     def roots(self) -> list[Component]:
         """The components at level ``m0``."""
         if self.axes is None:
-            return self._cover_components([self.geometry.top_cell()], self.m0, "r")[0]
+            return self._cover_components([tuple(x.top[:3] for x in self.geometry.axes)], self.m0, "r")[0]
         tops = [AxisComponent(axis, (axis.top,)).children(self.m0) for axis in self.axes]
         return self._products(tops, self.m0, "r")
 
@@ -707,7 +695,7 @@ class _Cover:
         test compares per-axis widths, in integers, without a pass over
         the children."""
         if comp.axes is None:
-            children, widest_sq = self._cover_components(comp.cells, m, comp.path)
+            children, widest_sq = self._cover_components(comp.pieces, m, comp.path)
             return children, widest_sq < comp.diam_sq()
         per_axis = [x.children(m) for x in comp.axes]
         growth = sum(
@@ -729,8 +717,8 @@ class _Cover:
         ]
 
     def _cover_components(self, cells, m: int, parent_path: str) -> tuple[list[Component], Fraction]:
-        """Cover of a mapped component, and the largest squared diameter
-        among its components: cell image boxes and a union-find.
+        """Cover of a mapped component's integer cells, and the largest
+        squared diameter among its components: boxes and a union-find.
 
         A linear map sends a product cell P_0 x ... x P_{d-1} to
         shift + sum_j col_j(M) * P_j, and the interval column col_j(M) * P_j
@@ -738,45 +726,32 @@ class _Cover:
         computed once per piece, keyed by its address (a point factor has
         the single address None), and a cell's image box is a sum of
         columns.  All of it runs on ints: the pieces of axis j are numerators
-        over a denominator of their own, the matrix entries over another
-        (``_integer_rows``), so M_ij * P_j is the min and max of four int
-        products, scaled with the shift to one common denominator D.  A
+        over that factor's ``den``, the matrix entries over another
+        (``rows``), so M_ij * P_j is the min and max of four int products,
+        brought with the shift to the cover's ``den`` by ``scales[j]``.  A
         cell's box is then a sum of ints, its cube range two floor
         divisions, and a component's bounding box is snapped outward to
         2**-bits by one floor division per end.  All of it is exact, so the
         boxes are those of ``ProductGeometry.cell_image_box``, snapped.
         """
-        geometry = self.geometry
-        refined = geometry.refine_cells(list(cells), Fraction(1, 1 << m))
+        refined = self.geometry.refine_cells(cells, m)
         if not refined:
             raise EmptyGeometry("no cells to cover")
-        d = geometry.dim
-        # Per axis j: piece address -> (lo, hi) of the piece.
-        pieces = [{} for _ in range(d)]
-        for cell in refined:
-            for table, (addr, lo, hi) in zip(pieces, cell):
-                if addr not in table:
-                    table[addr] = (lo, hi)
-        row_den, rows = _integer_rows(geometry.matrix.rows)
-        piece_dens = [math.lcm(*(end.denominator for ends in table.values() for end in ends)) for table in pieces]
-        shift = [end for s in geometry.shift for end in (s.lo, s.hi)]
-        den = math.lcm(*(row_den * piece_den for piece_den in piece_dens), *(end.denominator for end in shift))
-        offset = tuple(_over(end, den) for end in shift)
+        d = self.geometry.dim
+        den, offset = self.den, self.offset
         # Per axis j: piece address -> the flat numerators over den of the
         # products M_ij * P_j, (lo_0, hi_0, lo_1, hi_1, ...).
-        columns = []
-        for j, (table, piece_den) in enumerate(zip(pieces, piece_dens)):
-            scale = den // (row_den * piece_den)
-            column = {}
-            for addr, (lo, hi) in table.items():
-                x_lo, x_hi = _over(lo, piece_den), _over(hi, piece_den)
-                ends = []
-                for row in rows:
-                    m_lo, m_hi = row[j]
-                    products = (m_lo * x_lo, m_lo * x_hi, m_hi * x_lo, m_hi * x_hi)
-                    ends += (min(products) * scale, max(products) * scale)
-                column[addr] = tuple(ends)
-            columns.append(column)
+        columns = [{} for _ in range(d)]
+        for cell in refined:
+            for j, (column, (addr, lo, hi)) in enumerate(zip(columns, cell)):
+                if addr not in column:
+                    scale = self.scales[j]
+                    ends = []
+                    for row in self.rows:
+                        m_lo, m_hi = row[j]
+                        products = (m_lo * lo, m_lo * hi, m_hi * lo, m_hi * hi)
+                        ends += (min(products) * scale, max(products) * scale)
+                    column[addr] = tuple(ends)
         boxes = [
             tuple(map(sum, zip(offset, *(column[part[0]] for column, part in zip(columns, cell)))))
             for cell in refined
@@ -845,8 +820,8 @@ class _Cover:
             )
         comps.sort(key=lambda item: item[0])
         children = [
-            Component(self, m, bbox, f"{parent_path}.{idx}", cells=cells_, rects=rects_)
-            for idx, (_, cells_, rects_, bbox) in enumerate(comps)
+            Component(self, m, bbox, f"{parent_path}.{idx}", pieces=pieces, rects=rects_)
+            for idx, (_, pieces, rects_, bbox) in enumerate(comps)
         ]
         return children, Fraction(widest, unit * unit)
 
@@ -1016,15 +991,6 @@ def _corner_ratio_scan(cells_a, cells_b, rows, d):
     return Fraction(best_n, best_q), Fraction(best_q, best_n)
 
 
-def _cell_ratio_bounds(cells_a, cells_b, rows, d):
-    """``_corner_ratio_scan`` over every cell pair of two lists of
-    per-axis ``(lo, hi)`` rational cells (see ``_parse_cells``), through
-    the interval matrix ``rows`` when it is not None; a shift cancels in
-    the differences."""
-    _, (ints_a, ints_b) = _integer_cells((cells_a, cells_b))
-    return _corner_ratio_scan(ints_a, ints_b, None if rows is None else _integer_rows(rows)[1], d)
-
-
 def kappa_ratios(a: Component, b: Component) -> tuple[Fraction, Fraction]:
     """Certified enclosure of the extreme coordinate ratios between two
     components: (lower bound of the min ratio, upper bound of the max).
@@ -1068,12 +1034,12 @@ def kappa_ratios(a: Component, b: Component) -> tuple[Fraction, Fraction]:
         # The pairs (i, j) and (j, i) give reciprocal bounds, so the
         # greatest span_i / gap_j is the reciprocal of the least gap/span.
         return Fraction(best_n, best_q), Fraction(best_q, best_n)
-    return _cell_ratio_bounds(
-        [[(lo, hi) for _, lo, hi in cell] for cell in a.cells],
-        [[(lo, hi) for _, lo, hi in cell] for cell in b.cells],
-        geometry.matrix.rows,
-        d,
-    )
+    # Piece ends times scales[j] share one denominator, which a ratio of
+    # two coordinates cancels, so the scan runs on the cover's int rows.
+    cover = a.cover
+    cells_a = [[(lo * s, hi * s) for (_, lo, hi), s in zip(cell, cover.scales)] for cell in a.pieces]
+    cells_b = [[(lo * s, hi * s) for (_, lo, hi), s in zip(cell, cover.scales)] for cell in b.pieces]
+    return _corner_ratio_scan(cells_a, cells_b, cover.rows, d)
 
 
 # ---------------------------------------------------------------------------
@@ -1267,6 +1233,8 @@ def und_certificate(
     refinement steps down for dim+1 components pairwise separated by at
     least ``DEFAULT_SEPARATION_MARGIN`` on every axis (kappa-comparable too
     when ``kappa`` is given), then recurses into each selected component.
+    ``depth``, ``max_k`` and ``kappa`` are at least 1 (no ratio bound is
+    below 1, as those of (i, j) and (j, i) are reciprocal).
     ``keep_cells=False`` releases cell-level data as the search retreats,
     which keeps deep certificates in tens of megabytes instead of gigabytes;
     stripped certificates still chain and report separations but cannot be
@@ -1274,9 +1242,13 @@ def und_certificate(
     """
     if depth < 1:
         raise ValueError("certificate depth must be at least 1")
+    if max_k < 1:
+        raise ValueError("max_k must be at least 1")
     kappa = as_rat(kappa) if kappa is not None else None
     if kappa is not None and rep.dim < 2:
         raise ValueError("kappa needs at least two axes")
+    if kappa is not None and kappa < 1:
+        raise ValueError(f"kappa must be at least 1, got {kappa}")
     margin = DEFAULT_SEPARATION_MARGIN
     dim = rep.dim
     need = dim + 1

@@ -220,14 +220,15 @@ def reference_find_chain(k, kt, levels):
 # mapped covers
 
 def reference_refine_cells(geometry, cells, target):
-    """Cells split factor after factor, one cell at a time.
+    """``Fraction`` cells split factor after factor, one cell at a time.
 
     For each axis in turn every cell is replaced by the pieces of its part
     on that axis, left to right.  A tree part is split by ``interval`` on
     the two child addresses while it is wider than ``target`` and above
-    the tree's depth; a point factor stays.  No splitter of the library
-    and no shared split per piece: ``ProductGeometry.refine_cells`` must
-    return the same cells in the same order.
+    the tree's depth; a point factor stays.  No splitter of the library,
+    no integer pieces and no shared split per piece: at ``target`` 2**-m,
+    ``ProductGeometry.refine_cells`` at m, its integer pieces read as
+    ``Fraction``s, must return the same cells in the same order.
     """
     from cantorforge.cantor1d import GapTree
 
@@ -316,8 +317,8 @@ def reference_corner_ratio_scan(cells_a, cells_b, rows, d):
     ``DegeneratePair``; then every ordered axis pair gives its own lower
     and upper bound at every corner, divided out in ``Fraction``s.  One
     axis has no ratio and raises ValueError.
-    ``nested_rd._cell_ratio_bounds`` must return the same pair, or raise on
-    the same input.
+    ``nested_rd._corner_ratio_scan`` over ``_integer_cells`` must return
+    the same pair, or raise on the same input.
     """
     from cantorforge.cantor1d import Interval
     from cantorforge.nested_rd import DegeneratePair

@@ -220,6 +220,27 @@ def test_explicit_json_round_trip():
     assert again.to_json() == explicit.to_json()
 
 
+def _explicit_depth1_obj():
+    src = middle_thirds(1)
+    return ExplicitGapTree(src.hull, 1, {"": src.gap("")}).to_json_obj()
+
+
+def test_explicit_json_refuses_two_gaps_for_one_node():
+    obj = _explicit_depth1_obj()
+    obj["gaps"].append({"addr": "", "lo": [1, 4], "hi": [1, 2]})
+    with pytest.raises(ValueError, match="two gaps for node ''"):
+        tree_from_json_obj(obj)
+
+
+def test_explicit_json_refuses_a_gap_at_no_node():
+    # "0" is a leaf of a depth-1 tree and "0101" lies below it: neither has a gap
+    for addr in ("0", "0101"):
+        obj = _explicit_depth1_obj()
+        obj["gaps"].append({"addr": addr, "lo": [1, 9], "hi": [2, 9]})
+        with pytest.raises(ValueError, match=f"gap for '{addr}', which is not a node of a depth-1 tree"):
+            tree_from_json_obj(obj)
+
+
 def test_explicit_validation_catches_straddle():
     src = middle_thirds(2)
     gaps = {a: src.gap(a) for a in ("", "0", "1")}

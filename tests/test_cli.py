@@ -292,6 +292,51 @@ def test_grids_without_trials_are_config_errors(tmp_path, capsys, config, messag
     assert not out.exists()
 
 
+def _explicit_depth1(*extra_gaps):
+    """Explicit depth-1 middle-thirds tree JSON with extra gap entries."""
+    thirds = middle_thirds(1)
+    obj = ExplicitGapTree(thirds.hull, 1, {"": thirds.gap("")}).to_json_obj()
+    obj["gaps"] += [{"addr": addr, "lo": [1, 9], "hi": [2, 9]} for addr in extra_gaps]
+    return {"kind": "explicit", "tree": obj}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        (_scenario_with("nondegeneracy_square.json", max_k=0), "max_k must be at least 1"),
+        (_scenario_with("rotate_fix_line.json", max_k=0), "max_k must be at least 1"),
+        (_scenario_with("nondegeneracy_square.json", kappa=-1), "kappa must be at least 1, got -1"),
+        (_scenario_with("rotate_fix_line.json", kappa="1/2"), "kappa must be at least 1, got 1/2"),
+        (
+            {"pipeline": "companion-1d", "params": {"set": _explicit_depth1("", "0101"), "levels": 1}},
+            "two gaps for node ''",
+        ),
+        (
+            {"pipeline": "companion-1d", "params": {"set": _explicit_depth1("0101"), "levels": 1}},
+            "gap for '0101', which is not a node of a depth-1 tree",
+        ),
+    ],
+    ids=[
+        "nondegeneracy-max-k-zero",
+        "rotate-fix-max-k-zero",
+        "nondegeneracy-negative-kappa",
+        "rotate-fix-kappa-below-one",
+        "explicit-tree-duplicate-gap",
+        "explicit-tree-gap-at-no-node",
+    ],
+)
+def test_inputs_no_search_can_meet_are_config_errors(tmp_path, capsys, config, message):
+    # each used to search the whole tree and exit 2, or run and exit 0
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "bad.out.json"
+    assert main(["run", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert message in err
+    assert not out.exists()
+
+
 def test_symmetric_set_kind_builds_the_tree_it_names(tmp_path):
     # middle thirds to depth 6, written out gap by gap
     sets = {

@@ -1,23 +1,42 @@
 """The mapped cover against a cell-by-cell reference.
 
-``NestedRep._cover_components`` sums per-axis image columns as integers
-over one common denominator.  ``oracles.reference_cover_components`` maps
-every cell through ``ProductGeometry.cell_image_box`` on its own and joins
-cells by an all-pairs test.  Both must give the same components, with the
-same paths, cells, cube ranges and snapped bounding boxes, at every level
-of the nested representation.  The reference refines its cells with
+``NestedRep._cover_components`` refines integer pieces and sums per-axis
+image columns as integers over one common denominator.
+``oracles.reference_cover_components`` maps every ``Fraction`` cell
+through ``ProductGeometry.cell_image_box`` on its own and joins cells by
+an all-pairs test.  Both must give the same components, with the same
+paths, cells, cube ranges and snapped bounding boxes, at every level of
+the nested representation.  The reference refines its cells with
 ``oracles.reference_refine_cells``, which splits every cell on its own;
-``ProductGeometry.refine_cells`` splits each shared piece once and must
-give the same cells in the same order.
+``ProductGeometry.refine_cells`` splits each shared integer piece once
+and, read as ``Fraction``s, must give the same cells in the same order.
+``kappa_ratios`` scans the integer pieces of two mapped components and
+must agree with the corner scan that ``verify_certificate`` runs on their
+exported cells.
 """
 
+import itertools
+import json
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from cantorforge.cantor1d import Interval
-from cantorforge.nested_rd import ProductGeometry, RotationMatrix, build_nested_rep
+from cantorforge.nested_rd import (
+    DegeneratePair,
+    ProductGeometry,
+    RotationMatrix,
+    _corner_ratio_scan,
+    _integer_cells,
+    _integer_rows,
+    _over,
+    _parse_cells,
+    build_nested_rep,
+    components_at,
+    d_min,
+    kappa_ratios,
+)
 from test_product_cover import factors
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=8)
@@ -83,29 +102,64 @@ def test_mapped_cover_matches_the_cell_by_cell_reference(case):
     assert rep.not_shrinking == not_shrinking
 
 
-targets = st.one_of(
-    st.integers(min_value=0, max_value=8).map(lambda m: Fraction(1, 1 << m)),
-    st.fractions(min_value=Fraction(1, 300), max_value=Fraction(3, 2), max_denominator=300),
-)
-
-
 @st.composite
 def cell_lists(draw):
     d = draw(st.sampled_from([1, 2, 3]))
     geom = ProductGeometry(draw(st.lists(factors({1: 6, 2: 5, 3: 3}[d]), min_size=d, max_size=d)))
+    levels = st.integers(min_value=0, max_value=8)
     # The cells of two coarse refinements share pieces within each and
     # across both; a drawn selection with repeats shares them out of order.
     coarse = [
         cell
-        for target in (draw(targets), draw(targets))
-        for cell in oracles.reference_refine_cells(geom, [geom.top_cell()], target)
+        for m in (draw(levels), draw(levels))
+        for cell in oracles.reference_refine_cells(geom, [geom.top_cell()], Fraction(1, 1 << m))
     ]
     cells = draw(st.one_of(st.just(coarse), st.lists(st.sampled_from(coarse), min_size=1, max_size=12)))
-    return geom, cells, draw(targets)
+    return geom, cells, draw(levels)
 
 
 @settings(max_examples=150)
 @given(cell_lists())
 def test_refine_cells_matches_the_cell_by_cell_reference(case):
-    geom, cells, target = case
-    assert geom.refine_cells(cells, target) == oracles.reference_refine_cells(geom, cells, target)
+    geom, cells, m = case
+    pieces = [
+        tuple((addr, _over(lo, axis.den), _over(hi, axis.den)) for axis, (addr, lo, hi) in zip(geom.axes, cell))
+        for cell in cells
+    ]
+    refined = [
+        tuple((addr, Fraction(lo, axis.den), Fraction(hi, axis.den)) for axis, (addr, lo, hi) in zip(geom.axes, cell))
+        for cell in geom.refine_cells(pieces, m)
+    ]
+    assert refined == oracles.reference_refine_cells(geom, cells, Fraction(1, 1 << m))
+
+
+def exported_scan(a, b, rows, d):
+    """The corner scan of ``verify_certificate`` on two exported components."""
+    exported = [_parse_cells(json.loads(json.dumps(c.to_json_obj()))["source_cells"]) for c in (a, b)]
+    _, (cells_a, cells_b) = _integer_cells(exported)
+    return _corner_ratio_scan(cells_a, cells_b, rows, d)
+
+
+def outcome(scan, *args):
+    try:
+        return scan(*args)
+    except DegeneratePair:
+        return "degenerate"
+
+
+@settings(max_examples=40)
+@given(mapped_geometries().filter(lambda case: case[0].dim >= 2))
+def test_mapped_kappa_ratios_match_the_exported_corner_scan(case):
+    geom, m0, max_level, step, bits = case
+    rep = build_nested_rep(geom, m0, max_level, step, bits)
+    rows = _integer_rows(geom.matrix.rows)[1]
+    level = 0
+    while comps := components_at(rep, level):
+        level += 1
+        if len(comps) > 12:
+            continue
+        for a, b in itertools.combinations(comps, 2):
+            if d_min(a, b) <= 0:
+                assert outcome(kappa_ratios, a, b) == "degenerate"
+                continue
+            assert outcome(kappa_ratios, a, b) == outcome(exported_scan, a, b, rows, geom.dim)

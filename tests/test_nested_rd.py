@@ -330,6 +330,21 @@ def test_kappa_needs_two_axes():
         kappa_ratios(a, b)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_k": 0}, "max_k must be at least 1"),
+        ({"kappa": -1}, "kappa must be at least 1, got -1"),
+        ({"kappa": Fraction(99, 100)}, "kappa must be at least 1, got 99/100"),
+    ],
+)
+def test_search_bounds_below_one_are_refused(kwargs, message):
+    # the bounds of (i, j) and (j, i) are reciprocal, so no hi is below 1
+    rep = build_nested_rep(ProductGeometry([middle_thirds(6)] * 2), 2, 6, refine_step=2)
+    with pytest.raises(ValueError, match=message):
+        und_certificate(rep, **kwargs)
+
+
 def test_an_inverted_source_cell_is_rejected():
     # An extra cell with lo > hi on axis 0 leaves component 0's hull as it
     # is, but its difference with a cell of component 1 or 2 runs from a

@@ -28,7 +28,8 @@ from cantorforge.nested_rd import (
     DegeneratePair,
     ProductGeometry,
     RotationMatrix,
-    _cell_ratio_bounds,
+    _corner_ratio_scan,
+    _integer_cells,
     _parse_cells,
     build_nested_rep,
     components_at,
@@ -127,9 +128,9 @@ def test_box_gap_ratios_match_a_corner_scan(case):
                 except DegeneratePair:
                     continue
                 raise AssertionError("an overlapping pair passed the ratio test")
-            cells_a = _parse_cells(json.loads(json.dumps(a.to_json_obj()))["source_cells"])
-            cells_b = _parse_cells(json.loads(json.dumps(b.to_json_obj()))["source_cells"])
-            assert kappa_ratios(a, b) == _cell_ratio_bounds(cells_a, cells_b, None, geom.dim)
+            exported = [_parse_cells(json.loads(json.dumps(c.to_json_obj()))["source_cells"]) for c in (a, b)]
+            _, (cells_a, cells_b) = _integer_cells(exported)
+            assert kappa_ratios(a, b) == _corner_ratio_scan(cells_a, cells_b, None, geom.dim)
 
 
 @settings(max_examples=40)

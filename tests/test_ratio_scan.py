@@ -1,7 +1,9 @@
 """The integer corner scan against the Fraction/Interval reference.
 
-``nested_rd._cell_ratio_bounds`` puts cell endpoints and matrix entries over
-two common denominators and scans corners on their integer numerators.
+``integer_scan`` puts cell endpoints and matrix entries over two common
+denominators with ``nested_rd._integer_cells`` and ``_integer_rows``, and
+``_corner_ratio_scan`` scans corners on their integer numerators, the pair
+that ``verify_certificate`` runs.
 ``oracles.reference_corner_ratio_scan`` scans the same corners with
 ``Interval`` products and ``Fraction`` divisions.  Both must give the same
 ratio bounds, or both must find a cell pair whose signs are not pinned, or
@@ -15,7 +17,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from cantorforge.cantor1d import Interval
-from cantorforge.nested_rd import DegeneratePair, RotationMatrix, _cell_ratio_bounds
+from cantorforge.nested_rd import (
+    DegeneratePair,
+    RotationMatrix,
+    _corner_ratio_scan,
+    _integer_cells,
+    _integer_rows,
+)
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=6)
 entries = st.one_of(st.just(Fraction(0)), small)
@@ -57,6 +65,11 @@ def scans(draw):
     return cells_a, cells_b, draw(matrices(d)), d
 
 
+def integer_scan(cells_a, cells_b, rows, d):
+    _, (ints_a, ints_b) = _integer_cells((cells_a, cells_b))
+    return _corner_ratio_scan(ints_a, ints_b, None if rows is None else _integer_rows(rows)[1], d)
+
+
 def outcome(scan, *case):
     try:
         return scan(*case)
@@ -79,11 +92,11 @@ half = Fraction(1, 2)
 # a point factor and a map with negative and zero entries
 @example(([[(half, half), (0, 1)]], [[(3, 3), (-4, -3)]], ((Interval.point(-1), Interval.point(0)), (Interval.point(2), Interval.point(1))), 2))
 def test_integer_scan_matches_the_reference(case):
-    assert outcome(_cell_ratio_bounds, *case) == outcome(oracles.reference_corner_ratio_scan, *case)
+    assert outcome(integer_scan, *case) == outcome(oracles.reference_corner_ratio_scan, *case)
 
 
 def test_a_difference_that_crosses_zero_is_degenerate():
     # |delta_1| / |delta_0| is unbounded once delta_0 runs over [-1, 2]
     with pytest.raises(DegeneratePair) as exc:
-        _cell_ratio_bounds([[(0, 2), (3, 3)]], [[(0, 1), (2, 2)]], None, 2)
+        integer_scan([[(0, 2), (3, 3)]], [[(0, 1), (2, 2)]], None, 2)
     assert exc.value.axis == 0
