@@ -81,6 +81,6 @@ from .applications import (
     pinned_distance_demo,
     verify_H_interior,
 )
-from .dyadic import precision_bits, round_down, round_up, root_bounds, sqrt_bounds
+from .dyadic import precision_bits, root_bounds, sqrt_bounds
 
 __version__ = "0.1.0"

@@ -194,8 +194,9 @@ def _family_from_config(spec, field):
 
 def _boxes_geometry(cert):
     boxes = []
-
-    def walk(node):
+    stack = [cert.root]
+    while stack:
+        node = stack.pop()
         for comp in node.components:
             boxes.append(
                 {
@@ -204,10 +205,7 @@ def _boxes_geometry(cert):
                     "box": [[rat_pair(iv.lo), rat_pair(iv.hi)] for iv in comp.bbox],
                 }
             )
-        for child in node.children:
-            walk(child)
-
-    walk(cert.root)
+        stack.extend(reversed(node.children))
     return {"kind": "boxes", "boxes": boxes}
 
 
@@ -597,10 +595,7 @@ def main(argv=None) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("geometry", f"{type(exc).__name__}: {exc}") from None
         return 0
-    except (ConfigError, KindMismatch) as exc:
-        print(f"cantor-forge: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CantorForgeError, OSError) as exc:
         print(f"cantor-forge: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

@@ -2,9 +2,10 @@
 
 Everything in the package that can stay an exact rational does.  This module
 is the single entry point for the operations that cannot (square roots,
-rational powers) and for snapping exact rationals onto a dyadic grid so that
-box endpoints stay small.  All rounding here is outward: lower bounds round
-down, upper bounds round up, so enclosures computed downstream are sound.
+rational powers).  All rounding here is outward: lower bounds round down,
+upper bounds round up, so enclosures computed downstream are sound.
+Snapping box endpoints outward onto the same dyadic grid, so that they stay
+small, is done in integers where the boxes are built, in ``nested_rd``.
 
 The grid resolution is ``2**-bits``.  Library calls take ``bits`` as an
 argument and default to 64; no module of the package reads the process
@@ -33,21 +34,6 @@ def precision_bits(override: int | None = None) -> int:
 
 def floor_div(x: Fraction) -> int:
     return x.numerator // x.denominator
-
-
-def ceil_div(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def round_down(x: Fraction, bits: int) -> Fraction:
-    """Largest multiple of 2**-bits that is <= x."""
-    scale = 1 << bits
-    return Fraction(floor_div(x * scale), scale)
-
-
-def round_up(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(ceil_div(x * scale), scale)
 
 
 def iroot_floor(n: int, k: int) -> int:

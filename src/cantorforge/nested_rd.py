@@ -425,8 +425,9 @@ class AxisComponent:
     its parent piece at every level, which orders the product cells (see
     ``_product_cells``).  ``lo`` and ``hi`` are the exact ends of the
     pieces, ``box_lo`` and ``box_hi`` the box over ``axis.box_den``.  The
-    children one refinement step down are computed once and kept in one
-    slot, shared by every product component that holds this one.
+    children one refinement step down are computed once, shared by every
+    product component that holds this one, and kept until a certificate
+    search prunes one of those components (``Component.prune``).
     """
 
     __slots__ = ("axis", "pieces", "lo", "hi", "box_lo", "box_hi", "_interval", "_children")
@@ -466,11 +467,6 @@ class AxisComponent:
             self._children = self.axis.components(self.pieces, m)
         return self._children
 
-    def release(self):
-        """Drop the pieces and the cached children; the box stays."""
-        self.pieces = None
-        self._children = None
-
 
 class Component:
     """One connected component of the cube cover at level ``m``.
@@ -487,7 +483,9 @@ class Component:
     first use and cached.
     """
 
-    __slots__ = ("cover", "level", "path", "axes", "pieces", "_bbox", "_cells", "_rects", "_children")
+    __slots__ = (
+        "cover", "level", "path", "axes", "pieces", "_bbox", "_cells", "_rects", "_children", "__weakref__"
+    )
 
     def __init__(self, cover, level, bbox, path, *, pieces=None, rects=None, axes=None):
         self.cover = cover
@@ -553,24 +551,28 @@ class Component:
             comps = [child for c in comps for child in c.children()]
         return comps
 
-    def strip(self):
-        """Drop cell-level data to keep deep certificate searches small.
+    def prune(self, keep_cells: bool):
+        """Drop the explored subtree: the children of this component and
+        those cached on its axis components.  Unless ``keep_cells``, also
+        drop cell-level data; the bounding box and path survive, which is
+        all that separation floors and chains need, and a product component
+        keeps the integer boxes of its axis components, so ``bbox`` can
+        still be read and ``d_min`` still runs on integers.
 
-        The bounding box and path survive, which is all that separation
-        floors and chains need.  A product component releases the pieces
-        and cached children of its axis components and keeps their integer
-        boxes, so ``bbox`` can still be read and ``d_min`` still runs on
-        integers.  The search strips the children of a node once it is done
-        below them.  A component that shares an axis component with one of
-        them overlaps it on that axis, and the search only goes on into
-        components separated from it on every axis, so no component it
-        still expands loses its pieces."""
-        if self.axes is not None:
-            for x in self.axes:
-                x.release()
-        self.pieces = None
-        self._cells = ()
-        self._rects = ()
+        The search prunes a node's candidates once it is done below them.
+        A component that shares an axis component with one of them overlaps
+        it on that axis, and the search only goes on into components
+        separated from it on every axis, so it never expands a component
+        whose axis components were pruned."""
+        self._children = None
+        for x in self.axes or ():
+            x._children = None
+            if not keep_cells:
+                x.pieces = None
+        if not keep_cells:
+            self.pieces = None
+            self._cells = ()
+            self._rects = ()
 
     def cube_coords(self) -> list[tuple[int, ...]]:
         seen = set()
@@ -634,7 +636,10 @@ class NestedRep:
     ``root_components`` are the components at level ``m0``; each component
     hands out its own children at ``m0 + refine_step`` and so on down to
     ``max_level``.  Nodes that fail to shrink are recorded on
-    ``not_shrinking`` as they are discovered, never raised.
+    ``not_shrinking`` as they are discovered, never raised.  A certificate
+    search prunes the tree as it returns (see ``und_certificate``), so
+    afterwards the root components hold no children and the only other
+    components still reachable are those the certificate selected.
 
     The components refer to the rep's ``cover``, which holds everything
     but the components, so the tree holds no reference cycle: a rep that
@@ -1188,25 +1193,7 @@ def _find_selection(comps, need: int, margin: Fraction, kappa: Fraction | None):
                 pair_cache[key] = (sep, (lo, hi)) if hi <= kappa else None
         return pair_cache[key]
 
-    # Depth-first clique growth with ascending indices finds the same
-    # lexicographically-first clique a combinations scan would, but prunes
-    # as soon as a pair fails; with no valid pairs at all (the degenerate
-    # geometries) the cost stays quadratic instead of C(n, need).
-    stack: list[int] = []
-
-    def extend(start: int):
-        if len(stack) == need:
-            return tuple(stack)
-        for cand in range(start, n):
-            if all(pair_data(i, cand) is not None for i in stack):
-                stack.append(cand)
-                found = extend(cand + 1)
-                if found:
-                    return found
-                stack.pop()
-        return None
-
-    combo = extend(0)
+    combo = _first_clique(n, need, lambda i, j: pair_data(i, j) is not None)
     if combo is None:
         return None
     remap = {orig: pos for pos, orig in enumerate(combo)}
@@ -1218,6 +1205,26 @@ def _find_selection(comps, need: int, margin: Fraction, kappa: Fraction | None):
         if rat is not None:
             ratios[(remap[i], remap[j])] = rat
     return tuple(comps[i] for i in combo), dmins, ratios
+
+
+def _first_clique(n: int, need: int, joins, stack: tuple = (), start: int = 0):
+    """The lexicographically first ``need`` indices below n that pairwise
+    ``joins``, extending ``stack`` with indices from ``start`` on.
+
+    Depth-first growth with ascending indices finds the clique a
+    combinations scan would, but prunes as soon as a pair fails; with no
+    valid pairs at all (the degenerate geometries) the cost stays quadratic
+    instead of C(n, need).  It recurses at module level, as a nested
+    function that calls itself is a reference cycle, which would keep the
+    candidates it saw alive until the next full collection."""
+    if len(stack) == need:
+        return stack
+    for cand in range(start, n):
+        if all(joins(i, cand) for i in stack):
+            found = _first_clique(n, need, joins, stack + (cand,), cand + 1)
+            if found:
+                return found
+    return None
 
 
 def und_certificate(
@@ -1235,9 +1242,11 @@ def und_certificate(
     when ``kappa`` is given), then recurses into each selected component.
     ``depth``, ``max_k`` and ``kappa`` are at least 1 (no ratio bound is
     below 1, as those of (i, j) and (j, i) are reciprocal).
-    ``keep_cells=False`` releases cell-level data as the search retreats,
-    which keeps deep certificates in tens of megabytes instead of gigabytes;
-    stripped certificates still chain and report separations but cannot be
+    Once a node's search is done it prunes its level-1 candidates and its
+    selected components (``Component.prune``), so the components it
+    explored and rejected are freed as it returns.  ``keep_cells`` decides
+    only whether the pruned components keep their cells: stripped
+    certificates still chain and report separations but cannot be
     exported with their cells.
     """
     if depth < 1:
@@ -1273,28 +1282,15 @@ def und_certificate(
                     )
                 else:
                     children = ()
-                if not keep_cells:
-                    for comp in candidates_of(1):
-                        _strip_subtree(comp)
+                for comp in (*candidates_of(1), *selected):
+                    comp.prune(keep_cells)
                 return CertNode(k, selected, dmins, ratios, children)
         raise CertificateNotFound(path, max_k, _confinement_explanation(dim, probe_comps, margin))
 
     root = descend(lambda k: components_at(rep, k - 1), "r", depth)
-    if not keep_cells:
-        for comp in rep.root_components:
-            _strip_subtree(comp)
     return UndCertificate(
         dim, kappa, depth, margin, rep.bits, root, rep.geometry.matrix, rep.geometry.shift
     )
-
-
-def _strip_subtree(comp: Component):
-    if comp.stripped:
-        return  # stripping runs bottom-up, so this subtree is already done
-    comp.strip()
-    if comp._children:
-        for child in comp._children:
-            _strip_subtree(child)
 
 
 # ---------------------------------------------------------------------------
@@ -1331,8 +1327,9 @@ def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
 
 
 def _check_certificate(obj: dict, problems: list[str]):
-    dim = int(obj["dimension"])
-    depth = int(obj["depth"])
+    dim, depth = obj["dimension"], obj["depth"]
+    if type(dim) is not int or type(depth) is not int:
+        raise TypeError("dimension and depth must be JSON integers")
     margin = rat_from_pair(obj["margin"])
     kappa = rat_from_pair(obj["kappa"]) if obj["kappa"] is not None else None
     if kappa is not None and dim < 2:
@@ -1351,8 +1348,11 @@ def _check_certificate(obj: dict, problems: list[str]):
         if len(shift) != dim:
             raise ValueError(f"the shift has {len(shift)} axes, expected {dim}")
     else:
-        shift = [Interval.point(0)] * dim
-    pair_keys = {f"{i},{j}": (i, j) for i, j in itertools.combinations(range(dim + 1), 2)}
+        shift = itertools.repeat(Interval.point(0))
+    # Built once the cells of dim+1 components, each with dim axes, have
+    # parsed, so that a claimed dimension costs no more than the data that
+    # backs it.
+    pair_keys = {}
 
     def check_keys(path, name, claims):
         missing = [key for key in pair_keys if key not in claims]
@@ -1407,6 +1407,8 @@ def _check_certificate(obj: dict, problems: list[str]):
                         problems.append(
                             f"{path}.c{idx}: not nested inside its parent on axis {axis}"
                         )
+        if not pair_keys:
+            pair_keys.update((f"{i},{j}", (i, j)) for i, j in itertools.combinations(range(dim + 1), 2))
         dmins = node["dmin"]
         check_keys(path, "dmin", dmins)
         for key, (i, j) in pair_keys.items():

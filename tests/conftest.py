@@ -44,10 +44,11 @@ def square_cert():
 def deep_square_cert():
     """Ten-level certificate on a deeper thirds square.
 
-    The expensive fixture of the suite: 9 to 13 s and a peak RSS of
-    281 MB while building, on a 2-core x86-64 VM with Python 3.11.7.
-    Cells are dropped to keep the survivor small; only separations and
-    bounding boxes are needed downstream.
+    The expensive fixture of the suite: 7 to 10 s and a peak RSS of
+    98 MB while building, on a 2-core x86-64 VM with Python 3.11.7.  The
+    search frees each subtree it is done with, and cells are dropped to
+    keep the survivor small; only separations and bounding boxes are
+    needed downstream.
     """
     geom = ProductGeometry([middle_thirds(28), middle_thirds(28)])
     rep = build_nested_rep(geom, 2, 44, refine_step=2)

@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -421,6 +422,26 @@ def test_emit_geometry_accepts_bare_trees(tmp_path, thirds20):
     assert rows == 4
 
 
+@pytest.mark.parametrize("name", ["nondegeneracy_square", "interior_square"])
+def test_a_certificate_run_leaves_no_cyclic_garbage_behind(tmp_path, name):
+    # Reference counting alone must free the search tree and the report, as
+    # what only a full collection frees stays until one happens.  The one
+    # cycle left is the search's recursive closure over its scalar bounds.
+    config = next(p for p in SCENARIOS if p.stem == name)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_scenario(str(config), out_path=str(tmp_path / "rep.json"))[1] == 0
+        gc.collect()
+        kinds = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert kinds <= {"cell", "function", "tuple", "Fraction"}
+
+
 @pytest.mark.parametrize("name", ["nondegeneracy_square", "rotate_fix_line"])
 def test_verify_accepts_golden_certificates_and_rejects_tampered_ones(tmp_path, capsys, name):
     config = next(p for p in SCENARIOS if p.stem == name)
@@ -531,3 +552,43 @@ def test_every_scenario_ends_cleanly_at_extreme_precision(tmp_path, capsys, conf
         report = json.loads(out.read_text())
         assert report["precision_bits"] == bits
         assert report["status"] == ("ok" if code == 0 else "failed")
+
+
+def _bare_certificate(dimension):
+    root = {"components": [], "dmin": {}, "ratios": None, "children": []}
+    return {"kind": "und-certificate", "dimension": dimension, "depth": 1, "margin": [1, 2**40], "kappa": None,
+            "root": root}
+
+
+THIRDS_2 = {"geometry": middle_thirds(2).to_json_obj()}
+WIDE_GAP = {"geometry": dict(THIRDS_2["geometry"], levels=[[5, 1], [1, 18]])}
+INTERVALS = ["--format", "csv-intervals"]
+# command, input file (JSON-encoded unless a string), extra arguments, exit code, start of stderr
+MALFORMED_INPUTS = {
+    "dump-level-above-depth": ("dump", THIRDS_2, [*INTERVALS, "--level", "99"], 1,
+                               "cantor-forge: level 99 out of range for tree of depth 2"),
+    "dump-negative-level": ("dump", THIRDS_2, [*INTERVALS, "--level", "-1"], 1,
+                            "cantor-forge: level -1 out of range for tree of depth 2"),
+    "dump-gap-too-wide": ("dump", WIDE_GAP, INTERVALS, 1,
+                          "cantor-forge: gap at level 0 violates the feasibility bound"),
+    "dump-non-object": ("dump", [1, 2], ["--format", "csv-boxes"], 1, "cantor-forge: input carries no typed geometry"),
+    "dump-not-json": ("dump", "{oops", INTERVALS, 1, "cantor-forge: bad JSON in input"),
+    "verify-huge-dimension": ("verify", {"results": {"certificate": _bare_certificate(10**6)}}, [], 2,
+                              "cantor-forge: root: expected 1000001 components, found 0"),
+    "verify-non-object": ("verify", "[1, 2]", [], 1, "cantor-forge: report carries no certificate"),
+    "verify-certificate-not-an-object": ("verify", {"results": {"certificate": "{oops"}}, [], 2,
+                                         "cantor-forge: not a certificate object"),
+    "verify-not-json": ("verify", '{"results": {"certificate": {', [], 1, "cantor-forge: bad JSON in input"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_dump_and_verify_inputs_end_without_a_traceback(tmp_path, capsys, name):
+    command, content, extra, expected, message = MALFORMED_INPUTS[name]
+    path = tmp_path / "input.json"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    code = main([command, str(path), *extra])
+    err = capsys.readouterr().err
+    assert code == expected
+    assert "Traceback" not in err
+    assert err.startswith(message)

@@ -9,15 +9,12 @@ from cantorforge.applications import HSpec, nonlinear_companion
 from cantorforge.cantor1d import Interval, build_binary_ifs, middle_thirds
 from cantorforge.dyadic import (
     DEFAULT_PRECISION_BITS,
-    ceil_div,
     floor_div,
     iroot_floor,
     iv_pow,
     pow_bounds,
     precision_bits,
     root_bounds,
-    round_down,
-    round_up,
     sqrt_bounds,
 )
 from cantorforge.nested_rd import ProductGeometry, RotationMatrix, build_nested_rep, und_certificate
@@ -31,26 +28,6 @@ small_bits = st.integers(min_value=4, max_value=128)
 @given(rationals)
 def test_floor_ceil_div_match_math(x):
     assert floor_div(x) == math.floor(x)
-    assert ceil_div(x) == math.ceil(x)
-
-
-@given(rationals, small_bits)
-def test_rounding_brackets_and_is_dyadic(x, bits):
-    lo = round_down(x, bits)
-    hi = round_up(x, bits)
-    assert lo <= x <= hi
-    # denominators divide 2**bits, so the results are representable dyadics
-    assert (lo * 2**bits).denominator == 1
-    assert (hi * 2**bits).denominator == 1
-    assert hi - lo <= Fraction(1, 2**bits)
-
-
-@given(rationals, small_bits)
-def test_rounding_fixed_points(x, bits):
-    lo = round_down(x, bits)
-    hi = round_up(x, bits)
-    assert round_down(lo, bits) == lo
-    assert round_up(hi, bits) == hi
 
 
 @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=1, max_value=7))

@@ -1,5 +1,7 @@
-import itertools
 import json
+import time
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,6 @@ from cantorforge.nested_rd import (
     CertificateNotFound,
     CertNode,
     DegeneratePair,
-    EmptyGeometry,
     InvalidCertificate,
     ProductGeometry,
     RotationMatrix,
@@ -233,37 +234,49 @@ def test_near_identity_map_keeps_most_separation(square_cert):
 
 
 def test_dropping_cells_changes_no_separation(square_cert):
-    cert, _rep = square_cert
-    # A rep of its own: stripping the shared one would leave the fixture's
-    # certificate without the cells other tests map and export.
+    full, _rep = square_cert
+    # A rep of its own: the fixture's keeps the cells other tests map and
+    # export.
     geom = ProductGeometry([middle_thirds(8), middle_thirds(8)])
     rep = build_nested_rep(geom, 2, 11, refine_step=3)
     lean = und_certificate(rep, kappa=Fraction(9), max_k=2, depth=3, keep_cells=False)
-    assert lean.dk == cert.dk
+    assert lean.dk == full.dk
     with pytest.raises(InvalidCertificate):
         lean.to_json_obj()
-    # Every stripped component keeps its path, its box and its separation
-    # from each sibling, against a rep that kept everything.
-    full = build_nested_rep(geom, 2, 11, refine_step=3)
-    stack = [(rep.root_components, full.root_components)]
-    seen = 0
-    while stack:
-        lean_comps, full_comps = stack.pop()
-        assert [c.path for c in lean_comps] == [c.path for c in full_comps]
-        pairs = list(zip(lean_comps, full_comps))
+    # Node by node, the stripped selection keeps the paths, the boxes and
+    # the separations of the one a search that kept its cells made.
+    for k in range(1, full.depth + 1):
+        pairs = list(zip(lean.nodes_at_level(k), full.nodes_at_level(k), strict=True))
+        assert len(pairs) == 3 ** (k - 1)
         for a, b in pairs:
-            assert a.stripped and not b.stripped
-            assert a.bbox == b.bbox
-        for (a, b), (c, e) in itertools.combinations(pairs, 2):
-            assert d_min(a, c) == d_min(b, e)
-        seen += len(pairs)
-        for a, b in pairs:
-            try:
-                kids = a.children()
-            except EmptyGeometry:  # stripped before its children were built
-                continue
-            stack.append((kids, b.children()))
-    assert seen > 2 * len(rep.root_components)
+            assert [c.path for c in a.components] == [c.path for c in b.components]
+            assert all(c.stripped for c in a.components)
+            assert not any(c.stripped for c in b.components)
+            assert [c.bbox for c in a.components] == [c.bbox for c in b.components]
+            assert a.dmins == b.dmins
+            for (i, j), sep in a.dmins.items():
+                assert d_min(a.components[i], a.components[j]) == d_min(b.components[i], b.components[j]) == sep
+
+
+@pytest.mark.parametrize("keep_cells", [True, False])
+@pytest.mark.parametrize("matrix", [None, RotationMatrix.axis_mixing(2)], ids=["product", "mapped"])
+def test_the_search_frees_the_components_it_rejects(keep_cells, matrix):
+    geom = ProductGeometry([middle_thirds(8), middle_thirds(8)])
+    if matrix is not None:
+        geom = geom.with_matrix(matrix)
+    rep = build_nested_rep(geom, 2, 11, refine_step=3)
+    # Expand two levels ahead of the search and watch every component.
+    explored = [weakref.ref(c) for c in components_at(rep, 1) + components_at(rep, 2)]
+    cert = und_certificate(rep, max_k=2, depth=2, keep_cells=keep_cells)
+    kept = [c for k in (1, 2) for node in cert.nodes_at_level(k) for c in node.components]
+    alive = [ref() for ref in explored if ref() is not None]
+    assert len(explored) > len(kept)
+    assert [c.path for c in alive if all(c is not s for s in kept)] == []
+    # What stays, the selection and the roots the rep holds, is pruned, down
+    # to the children cached on axis components.
+    for c in kept + rep.root_components:
+        assert c._children is None
+        assert all(x._children is None for x in c.axes or ())
 
 
 def test_floors_refuse_a_non_positive_separation(square_cert):
@@ -319,6 +332,41 @@ def test_malformed_certificate_is_a_problem_not_an_exception():
     ok, problems = verify_certificate(obj)
     assert not ok
     assert problems == ["malformed certificate: KeyError: 'source_cells'"]
+
+
+@pytest.mark.parametrize("field, value", [("dimension", "2"), ("dimension", 2.0), ("depth", True)])
+def test_dimension_and_depth_must_be_json_integers(field, value):
+    obj = kappa_square_obj(1)
+    obj[field] = value
+    assert verify_certificate(obj) == (
+        False,
+        ["malformed certificate: TypeError: dimension and depth must be JSON integers"],
+    )
+
+
+def test_a_huge_claimed_dimension_is_refused_at_once():
+    obj = kappa_square_obj(1)
+    obj["dimension"] = 10**6
+    started = time.perf_counter()
+    ok, problems = verify_certificate(obj)
+    assert time.perf_counter() - started < 0.5
+    assert (ok, problems) == (False, ["root: expected 1000001 components, found 3"])
+
+
+def test_components_without_cells_build_no_pair_table():
+    # dim+1 hollow components pass the count; the pair keys wait for cells
+    # with dim axes each, so their cost stays within that of the input.
+    obj = kappa_square_obj(1)
+    obj["dimension"] = 1000
+    obj["root"]["components"] = [{"level": 4, "source_cells": [], "bbox": []}] * 1001
+    tracemalloc.start()
+    try:
+        result = verify_certificate(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (False, ["malformed certificate: ValueError: min() arg is an empty sequence"])
+    assert peak < 2_000_000
 
 
 def test_kappa_needs_two_axes():
