@@ -36,7 +36,7 @@ from .containment1d import (
     find_chain,
     grid_values,
 )
-from .dyadic import iv_pow, pow_bounds, precision_bits
+from .dyadic import iroot_bounds, iv_pow, pow_bounds, precision_bits
 
 __all__ = [
     "HSpec",
@@ -107,7 +107,31 @@ class HSpec:
         return iv_pow(inner, 1 / alpha, bits)
 
     def slice_point(self, lam: Fraction, c: Fraction, x: Fraction, bits: int) -> Interval:
-        return self.slice_enclosure(Interval.point(lam), Interval.point(c), Interval.point(x), bits)
+        """``slice_enclosure`` on the point intervals of lam, c and x.
+
+        For alpha-norm with alpha = a/b it runs on the integers of x = p/q
+        and c: x**a is p**a / q**a, enclosed by a b-th root only when
+        b > 1, and y = (c - x**alpha) ** (1/alpha) is one a-th root of the
+        inner value raised to b, or one per end when the b-th root left an
+        interval.  Each root is ``iroot_bounds``, so the bounds, exact
+        pairs included, are the ones ``slice_enclosure`` returns.
+        """
+        if self.family == "affine-sum":
+            return self.slice_enclosure(Interval.point(lam), Interval.point(c), Interval.point(x), bits)
+        if x <= 0:
+            raise ValueError("alpha-norm slice points need x > 0")
+        a, b = self.lam_box.lo.numerator, self.lam_box.lo.denominator
+        lo, hi, den = iroot_bounds(x.numerator**a, x.denominator**a, b, bits)
+        # c - x**alpha lies in [(cn den - hi cd) / (cd den), (cn den - lo cd) / (cd den)]
+        cn, cd = c.numerator, c.denominator
+        inner_lo, inner_hi, inner_den = cn * den - hi * cd, cn * den - lo * cd, (cd * den) ** b
+        if inner_lo <= 0:
+            raise SignNotDefinite("c - x^alpha is not positive on the box")
+        y_lo, y_hi, y_den = iroot_bounds(inner_lo**b, inner_den, a, bits)
+        if lo != hi:
+            _, y_hi, hi_den = iroot_bounds(inner_hi**b, inner_den, a, bits)
+            return Interval(Fraction(y_lo, y_den), Fraction(y_hi, hi_den))
+        return Interval(Fraction(y_lo, y_den), Fraction(y_hi, y_den))
 
     def residual_enclosure(self, lam, c, x, y, bits: int) -> Interval:
         """Enclosure of H(lam, x, y) - c at rational arguments."""
@@ -183,6 +207,9 @@ class MonotoneImageTree(GapTree):
     maps two new points and costs O(1).  Both memos live as long as the
     tree and grow with the number of distinct nodes split; only a single
     descent, as in ``find_chain``, keeps them at about 2 entries per level.
+    Each base endpoint is enclosed by ``HSpec.slice_point``, which for the
+    alpha-norm family is one integer root chain, with no ``Fraction``
+    arithmetic until its two ends.
     """
 
     def __init__(self, base: GapTree, spec: HSpec, lam, c, data: SliceDerivative, bits=None):

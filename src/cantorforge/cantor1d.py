@@ -274,22 +274,36 @@ class SymmetricGapTree(GapTree):
             if g >= lengths[n]:
                 raise GapConstraintViolation(n)
             lengths.append((lengths[n] - g) / 2)
-        # lengths[n] is the common length of level-n intervals
         self.level_lengths = tuple(lengths)
 
     @classmethod
     def _derived(
-        cls, hull: Interval, gap_lengths: tuple, level_lengths: tuple, integer_lengths: tuple
+        cls, hull: Interval, source: "SymmetricGapTree", scale: Fraction, integer_lengths: tuple
     ) -> "SymmetricGapTree":
-        """Tree from per-level data taken exactly from a valid tree, so the
-        feasibility walk of ``__init__`` is skipped (see ``affine_image``)."""
+        """``source`` scaled by ``scale`` > 0 and placed on ``hull``.
+
+        The per-level data is taken exactly from a valid tree, so the
+        feasibility walk of ``__init__`` is skipped, and ``gap_lengths`` and
+        ``level_lengths`` are scaled on first read (see ``affine_image``).
+        """
         tree = cls.__new__(cls)
         tree.hull = hull
-        tree.gap_lengths = gap_lengths
-        tree.depth = len(gap_lengths)
-        tree.level_lengths = level_lengths
+        tree.depth = source.depth
         tree.integer_lengths = integer_lengths
+        tree._scaled = (source, scale)
         return tree
+
+    @cached_property
+    def gap_lengths(self) -> tuple[Fraction, ...]:
+        # set by __init__; built here only for a tree made by _derived
+        source, scale = self._scaled
+        return source.gap_lengths if scale == 1 else tuple(scale * g for g in source.gap_lengths)
+
+    @cached_property
+    def level_lengths(self) -> tuple[Fraction, ...]:
+        # lengths[n] is the common length of level-n intervals
+        source, scale = self._scaled
+        return source.level_lengths if scale == 1 else tuple(scale * n for n in source.level_lengths)
 
     @cached_property
     def integer_lengths(self) -> tuple[tuple[int, ...], int]:
@@ -448,16 +462,16 @@ def affine_image(tree: GapTree, lam, t) -> GapTree:
     if isinstance(tree, SymmetricGapTree):
         # A positive scale of a feasible tree is feasible, and exact
         # arithmetic gives |lam| (L - g) / 2 = (|lam| L - |lam| g) / 2, so
-        # the scaled tuples are the ones SymmetricGapTree would derive.
+        # the scaled lengths are the ones SymmetricGapTree would derive.
+        # Only the hull and integer_lengths are built here, which is all
+        # the integer walk and the dominance gate read; gap_lengths and
+        # level_lengths are scaled on first read.
         scale = abs(lam)
-        gaps, lengths = tree.gap_lengths, tree.level_lengths
         integer_lengths = tree.integer_lengths
         if scale != 1:
-            gaps = tuple(scale * g for g in gaps)
-            lengths = tuple(scale * length for length in lengths)
             nums, den = integer_lengths
             integer_lengths = tuple(scale.numerator * num for num in nums), den * scale.denominator
-        return SymmetricGapTree._derived(map_iv(tree.hull), gaps, lengths, integer_lengths)
+        return SymmetricGapTree._derived(map_iv(tree.hull), tree, scale, integer_lengths)
     flip = lam < 0
     gaps = {}
     for n in range(tree.depth):

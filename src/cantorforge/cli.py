@@ -434,6 +434,16 @@ _HANDLERS = {
 # --------------------------------------------------------------------------
 # entry points
 
+def _load_json(path):
+    """The JSON document in the file at ``path``.  Nesting deeper than the
+    decoder can follow is a ConfigError (exit 1), not a RecursionError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ConfigError("<json>", "nesting too deep") from None
+
+
 def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False, bits=None):
     """Execute one scenario; returns (report dict, exit code).
 
@@ -442,8 +452,7 @@ def run_scenario(config_path, out_path=None, seed=None, threads=1, timing=False,
     the process environment is not read.
     """
     try:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+        config = _load_json(config_path)
     except OSError as exc:
         raise ConfigError("<file>", str(exc)) from None
     except json.JSONDecodeError as exc:
@@ -575,8 +584,7 @@ def main(argv=None) -> int:
                 bits=args.precision_bits,
             )
             return code
-        with open(args.report, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
+        report = _load_json(args.report)
         if args.command == "verify":
             results = report.get("results") if isinstance(report, dict) else None
             certificate = results.get("certificate") if isinstance(results, dict) else None

@@ -6,7 +6,9 @@ one child of K fits entirely inside a child of Kt, and we can descend one
 level.  Iterating pins a point of K and a point of Kt inside a common
 interval whose length bounds their distance.  Everything here runs on exact
 rationals, or on integers over one common denominator, so a produced chain
-is a proof, not an estimate.
+is a proof, not an estimate.  Two symmetric trees, the pairs of every
+trial of ``sweep-1d``, ``interior-1d`` and ``erdos-demo``, take the
+integer route through both the dominance gate and the walk.
 
 Companions built with a gap factor < 1 make the descent available from every
 starting translate inside the hull margin, which is what turns the chain
@@ -57,10 +59,39 @@ class LevelRecord:
     passed: bool
 
 
+class _BuiltOnRead:
+    """Dataclass field that may be given a zero-argument builder in place
+    of its value; the builder runs on the first read, once.  Class access
+    raises AttributeError, so the field has no default."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class DominanceReport:
+    """Hull containment, one ``LevelRecord`` per level, and their verdict.
+
+    ``levels`` may be handed over as a builder: ``check_dominance`` on two
+    symmetric trees decides on integers and builds the records, with their
+    ``Fraction`` gaps, only when ``slack``, a failure reason or
+    ``to_json_obj`` reads them.  ``==`` and ``dataclasses.replace`` read
+    them as well.
+    """
+
     hull_contained: bool
-    levels: tuple[LevelRecord, ...]
+    levels: tuple[LevelRecord, ...] = _BuiltOnRead()
     overall: bool
 
     @property
@@ -95,19 +126,30 @@ def check_dominance(k: GapTree, kt: GapTree, levels: int) -> DominanceReport:
     Level n passes when every companion gap at level n is strictly shorter
     than every gap of ``k`` there.  Failures are recorded, never raised; the
     chain builders are the ones that insist on a clean report.
+
+    Two symmetric trees are compared on integers: over the common
+    denominator of ``integer_lengths`` the level-n gap is L_n - 2 L_{n+1},
+    and two gaps over different denominators are compared by
+    cross-multiplying.  The ``LevelRecord``s are built on first read.
     """
     if levels < 1 or levels > min(k.depth, kt.depth):
         raise LevelOutOfRange(levels, min(k.depth, kt.depth))
     hull_ok = kt.hull.contains_interval(k.hull)
-    records = []
-    all_passed = True
-    for n in range(levels):
-        lo = k.level_min_gap(n)
-        hi = kt.level_max_gap(n)
-        ok = hi < lo
-        all_passed = all_passed and ok
-        records.append(LevelRecord(n, lo, hi, ok))
-    return DominanceReport(hull_ok, tuple(records), hull_ok and all_passed)
+    if isinstance(k, SymmetricGapTree) and isinstance(kt, SymmetricGapTree):
+        (nums_k, den_k), (nums_t, den_t) = k.integer_lengths, kt.integer_lengths
+        gaps = [(nums_k[n] - 2 * nums_k[n + 1], nums_t[n] - 2 * nums_t[n + 1]) for n in range(levels)]
+    else:
+        den_k = den_t = 1
+        gaps = [(k.level_min_gap(n), kt.level_max_gap(n)) for n in range(levels)]
+    passed = [gap_t * den_k < gap_k * den_t for gap_k, gap_t in gaps]
+
+    def records():
+        return tuple(
+            LevelRecord(n, Fraction(gap_k, den_k), Fraction(gap_t, den_t), ok)
+            for n, ((gap_k, gap_t), ok) in enumerate(zip(gaps, passed))
+        )
+
+    return DominanceReport(hull_ok, records, hull_ok and all(passed))
 
 
 @dataclass(frozen=True)
@@ -142,7 +184,9 @@ def find_chain(k: GapTree, kt: GapTree, levels: int, report: DominanceReport | N
     This is the one dominance gate of a trial: a failed check raises
     DominanceNotVerified, whose ``report`` names what failed.  A caller
     that already holds ``check_dominance(k, kt, levels)`` passes it as
-    ``report``, and the check is not made again.
+    ``report``, and the check is not made again.  On two symmetric trees
+    the gate compares integer gaps and builds no ``LevelRecord`` unless a
+    failure reason reads them.
 
     Two walks take the same steps and return the same chain, each in
     O(levels).  When both trees are symmetric, every level-n interval of a

@@ -8,10 +8,11 @@ Snapping box endpoints outward onto the same dyadic grid, so that they stay
 small, is done in integers where the boxes are built, in ``nested_rd``.
 
 The grid resolution is ``2**-bits``.  Library calls take ``bits`` as an
-argument and default to 64; no module of the package reads the process
-environment.  ``cantor-forge run`` resolves ``bits`` once per scenario, in
-this order: ``--precision-bits``, the config's ``precision_bits`` field,
-then 64.
+argument, from 1 to 4096, and default to 64; no module of the package
+reads the process environment.  ``cantor-forge run`` resolves ``bits``
+once per scenario, in this order: ``--precision-bits``, the config's
+``precision_bits`` field, then 64.  Every root is taken on integers by
+``iroot_bounds``.
 """
 
 from __future__ import annotations
@@ -22,18 +23,19 @@ from fractions import Fraction
 from .cantor1d import Interval
 
 DEFAULT_PRECISION_BITS = 64
+# Reports write 2**-bits grid points as decimal integers, and Python refuses
+# to convert one of more than 4300 digits; 4096 bits stays clear of that.
+MAX_PRECISION_BITS = 4096
 
 
 def precision_bits(override: int | None = None) -> int:
-    """Resolve the working precision in fractional bits (default 64)."""
+    """Resolve the working precision in fractional bits (default 64).
+
+    A value outside 1 to ``MAX_PRECISION_BITS`` raises ValueError."""
     bits = DEFAULT_PRECISION_BITS if override is None else int(override)
-    if bits < 1:
-        raise ValueError(f"precision must be at least 1 bit, got {bits}")
+    if not 1 <= bits <= MAX_PRECISION_BITS:
+        raise ValueError(f"precision must be 1 to {MAX_PRECISION_BITS} bits, got {bits}")
     return bits
-
-
-def floor_div(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 def iroot_floor(n: int, k: int) -> int:
@@ -59,6 +61,30 @@ def iroot_floor(n: int, k: int) -> int:
         x = y
 
 
+def iroot_bounds(n: int, d: int, k: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, den) with lo/den <= (n/d) ** (1/k) <= hi/den, on integers.
+
+    For n >= 0, d > 0 and k >= 1.  When n/d in lowest terms is (r/s) ** k,
+    the pair is exact, (r, r, s).  Otherwise den = 2**bits, lo is the floor
+    of den * (n/d) ** (1/k) and hi = lo + 1, or hi = lo when lo/den already
+    reaches the root.  ``root_bounds`` is this pair read as ``Fraction``s;
+    the slice points of ``applications`` chain it on integers.
+    """
+    if k == 1 or n == 0:
+        return n, n, d
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    num_r = iroot_floor(n, k)
+    if num_r**k == n:
+        den_r = iroot_floor(d, k)
+        if den_r**k == d:
+            return num_r, num_r, den_r
+    # (r / 2**bits) ** k <= n/d  <=>  r ** k * d <= n * 2**(k*bits)
+    target = n << (k * bits)
+    r = iroot_floor(target // d, k)
+    return r, r if r**k * d >= target else r + 1, 1 << bits
+
+
 def root_bounds(x: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
     """Certified enclosure of x ** (1/k) for x >= 0, integer k >= 1.
 
@@ -71,24 +97,8 @@ def root_bounds(x: Fraction, k: int, bits: int) -> tuple[Fraction, Fraction]:
         raise ValueError("negative radicand")
     if k < 1:
         raise ValueError("root index must be positive")
-    if k == 1 or x == 0:
-        return (x, x)
-    num_r = iroot_floor(x.numerator, k)
-    den_r = iroot_floor(x.denominator, k)
-    if num_r ** k == x.numerator and den_r ** k == x.denominator:
-        exact = Fraction(num_r, den_r)
-        return (exact, exact)
-    scale = 1 << bits
-    # (r / 2**bits) ** k <= x  <=>  r ** k <= x * 2**(k*bits)
-    target = x * Fraction(scale) ** k
-    r = iroot_floor(floor_div(target), k)
-    lo = Fraction(r, scale)
-    hi = Fraction(r + 1, scale)
-    # Tighten hi when r+1 overshoots but r is already an upper bound
-    # (can happen when target is just above an integer k-th power).
-    if Fraction(r) ** k >= target:
-        hi = lo
-    return (lo, hi)
+    lo, hi, den = iroot_bounds(x.numerator, x.denominator, k, bits)
+    return Fraction(lo, den), Fraction(hi, den)
 
 
 def sqrt_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -117,6 +127,8 @@ def pow_bounds(x: Fraction, e: Fraction, bits: int) -> tuple[Fraction, Fraction]
 def iv_pow(v: Interval, e: Fraction, bits: int) -> Interval:
     """v ** e for v.lo > 0; monotone in the base for e of fixed sign.
 
+    Used for box enclosures (``HSpec.slice_enclosure``); the slice points
+    of a ``MonotoneImageTree`` chain ``iroot_bounds`` on integers instead.
     A point interval is enclosed once: both ends would give the same bounds.
     """
     if v.lo <= 0:

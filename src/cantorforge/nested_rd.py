@@ -1227,6 +1227,36 @@ def _first_clique(n: int, need: int, joins, stack: tuple = (), start: int = 0):
     return None
 
 
+def _descend(
+    candidates_of, path: str, remaining: int, need: int, max_k: int, margin, kappa, keep_cells
+) -> CertNode:
+    """The certificate node of ``und_certificate`` at ``path``, whose
+    candidates k refinement steps down are ``candidates_of(k)``.  It recurses
+    at module level: a nested function that calls itself is a reference
+    cycle, which would keep what it holds until the next full collection."""
+    probe_comps: list[Component] = []
+    for k in range(1, max_k + 1):
+        comps = candidates_of(k)
+        # Remember the deepest probe with enough components: if the
+        # search fails, that level gives the most informative diagnosis
+        # (confinement patterns only show once the cover has split).
+        if not probe_comps or len(comps) >= need:
+            probe_comps = comps
+        if len(comps) < need:
+            continue
+        found = _find_selection(comps, need, margin, kappa)
+        if found is not None:
+            selected, dmins, ratios = found
+            children = tuple(
+                _descend(comp.descendants, comp.path, remaining - 1, need, max_k, margin, kappa, keep_cells)
+                for comp in (selected if remaining > 1 else ())
+            )
+            for comp in (*candidates_of(1), *selected):
+                comp.prune(keep_cells)
+            return CertNode(k, selected, dmins, ratios, children)
+    raise CertificateNotFound(path, max_k, _confinement_explanation(need - 1, probe_comps, margin))
+
+
 def und_certificate(
     rep: NestedRep,
     kappa=None,
@@ -1259,37 +1289,9 @@ def und_certificate(
     if kappa is not None and kappa < 1:
         raise ValueError(f"kappa must be at least 1, got {kappa}")
     margin = DEFAULT_SEPARATION_MARGIN
-    dim = rep.dim
-    need = dim + 1
-
-    def descend(candidates_of, path: str, remaining: int) -> CertNode:
-        probe_comps: list[Component] = []
-        for k in range(1, max_k + 1):
-            comps = candidates_of(k)
-            # Remember the deepest probe with enough components: if the
-            # search fails, that level gives the most informative diagnosis
-            # (confinement patterns only show once the cover has split).
-            if not probe_comps or len(comps) >= need:
-                probe_comps = comps
-            if len(comps) < need:
-                continue
-            found = _find_selection(comps, need, margin, kappa)
-            if found is not None:
-                selected, dmins, ratios = found
-                if remaining > 1:
-                    children = tuple(
-                        descend(comp.descendants, comp.path, remaining - 1) for comp in selected
-                    )
-                else:
-                    children = ()
-                for comp in (*candidates_of(1), *selected):
-                    comp.prune(keep_cells)
-                return CertNode(k, selected, dmins, ratios, children)
-        raise CertificateNotFound(path, max_k, _confinement_explanation(dim, probe_comps, margin))
-
-    root = descend(lambda k: components_at(rep, k - 1), "r", depth)
+    root = _descend(lambda k: components_at(rep, k - 1), "r", depth, rep.dim + 1, max_k, margin, kappa, keep_cells)
     return UndCertificate(
-        dim, kappa, depth, margin, rep.bits, root, rep.geometry.matrix, rep.geometry.shift
+        rep.dim, kappa, depth, margin, rep.bits, root, rep.geometry.matrix, rep.geometry.shift
     )
 
 
@@ -1381,11 +1383,15 @@ def _check_certificate(obj: dict, problems: list[str]):
         den *= row_den
         return [Interval(Fraction(lo, den) + s.lo, Fraction(hi, den) + s.hi) for (lo, hi), s in zip(ends, shift)]
 
-    def check_node(node, path, parent_box, parent_level, level):
+    # An explicit stack in pre-order: a nested function that called itself
+    # would be a reference cycle, left for the cyclic collector.
+    stack = [(obj["root"], "root", None, None, 1)]
+    while stack:
+        node, path, parent_box, parent_level, level = stack.pop()
         comps = node["components"]
         if len(comps) != dim + 1:
             problems.append(f"{path}: expected {dim + 1} components, found {len(comps)}")
-            return
+            continue
         cover_levels = sorted({int(comp["level"]) for comp in comps})
         if len(cover_levels) != 1:
             problems.append(f"{path}: components sit at levels {cover_levels}, not at one level")
@@ -1454,11 +1460,11 @@ def _check_certificate(obj: dict, problems: list[str]):
             problems.append(
                 f"{path}: expected {expected} children at level {level} of depth {depth}, found {len(children)}"
             )
-            return
-        for idx, child in enumerate(children):
-            check_node(child, f"{path}.{idx}", hulls[idx], cover_level, level + 1)
-
-    check_node(obj["root"], "root", None, None, 1)
+            continue
+        stack.extend(
+            (child, f"{path}.{idx}", hulls[idx], cover_level, level + 1)
+            for idx, child in reversed(list(enumerate(children)))
+        )
 
 
 def _parse_cells(source_cells, dim: int | None = None) -> list[list[tuple[Fraction, Fraction]]]:

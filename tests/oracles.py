@@ -170,6 +170,77 @@ def circle_slope_at_least(eta, c, x):
 
 
 # ---------------------------------------------------------------------------
+# roots, slice points and dominance in Fractions
+
+def reference_root_bounds(x, k, bits):
+    """Enclosure of x ** (1/k) for a rational x >= 0, all in ``Fraction``s.
+
+    Exact when x is (r/s) ** k in lowest terms; else the floor r of
+    2**bits * x ** (1/k), from ``math.floor`` of the scaled ``Fraction``
+    and a plain bisection for its k-th root, with hi = (r + 1) / 2**bits
+    unless (r / 2**bits) ** k already reaches x.
+    ``dyadic.root_bounds`` must return the same pair.
+    """
+    import math
+
+    def floor_root(n):
+        lo, hi = 0, 1
+        while hi**k <= n:
+            hi *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if mid**k <= n else (lo, mid)
+        return lo
+
+    x = Fraction(x)
+    num, den = floor_root(x.numerator), floor_root(x.denominator)
+    if num**k == x.numerator and den**k == x.denominator:
+        return Fraction(num, den), Fraction(num, den)
+    scale = Fraction(1 << bits)
+    r = floor_root(math.floor(x * scale**k))
+    lo = r / scale
+    return lo, (lo if lo**k >= x else (r + 1) / scale)
+
+
+def reference_slice_point(alpha, c, x, bits):
+    """Enclosure of (c - x**alpha) ** (1/alpha) for alpha = a/b > 1, x > 0.
+
+    Interval steps in ``Fraction``s, as the slice enclosure of a point
+    box: x**a, its b-th root by ``reference_root_bounds``, c minus that,
+    then the a-th root of each end raised to b (once when the ends agree).
+    A non-positive c - x**alpha raises ``SignNotDefinite``.
+    ``HSpec.slice_point`` must return the same interval.
+    """
+    from cantorforge.applications import SignNotDefinite
+    from cantorforge.cantor1d import Interval
+
+    a, b = alpha.numerator, alpha.denominator
+    lo, hi = reference_root_bounds(x**a, b, bits)
+    inner_lo, inner_hi = c - hi, c - lo
+    if inner_lo <= 0:
+        raise SignNotDefinite("c - x^alpha is not positive on the box")
+    y_lo, y_hi = reference_root_bounds(inner_lo**b, a, bits)
+    if inner_lo != inner_hi:
+        y_hi = reference_root_bounds(inner_hi**b, a, bits)[1]
+    return Interval(y_lo, y_hi)
+
+
+def reference_check_dominance(k, kt, levels):
+    """``check_dominance`` in ``Fraction``s from the trees' own gap lengths:
+    hull containment, then per level the k gap against the kt gap, every
+    ``LevelRecord`` built at once.  The integer gate on two symmetric trees
+    must give an equal report, with equal ``slack`` and ``to_json_obj``."""
+    from cantorforge.containment1d import DominanceReport, LevelRecord
+
+    hull_ok = kt.hull.lo <= k.hull.lo and k.hull.hi <= kt.hull.hi
+    records = tuple(
+        LevelRecord(n, k.gap_lengths[n], kt.gap_lengths[n], kt.gap_lengths[n] < k.gap_lengths[n])
+        for n in range(levels)
+    )
+    return DominanceReport(hull_ok, records, hull_ok and all(rec.passed for rec in records))
+
+
+# ---------------------------------------------------------------------------
 # containment chains
 
 def reference_find_chain(k, kt, levels):

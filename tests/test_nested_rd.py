@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 import tracemalloc
@@ -277,6 +278,27 @@ def test_the_search_frees_the_components_it_rejects(keep_cells, matrix):
     for c in kept + rep.root_components:
         assert c._children is None
         assert all(x._children is None for x in c.axes or ())
+
+
+@pytest.mark.parametrize("matrix", [None, RotationMatrix.axis_mixing(2)], ids=["product", "mapped"])
+def test_search_and_verify_leave_no_closure_cycles(matrix):
+    # A nested function that calls itself is a reference cycle: it and its
+    # cells would wait for the cyclic collector after every search and check.
+    geom = ProductGeometry([middle_thirds(8), middle_thirds(8)], matrix=matrix)
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        cert = und_certificate(build_nested_rep(geom, 2, 11, refine_step=3), kappa=9, max_k=2, depth=2)
+        assert verify_certificate(json.loads(cert.to_json())) == (True, [])
+        del cert
+        gc.collect()
+        kinds = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not kinds & {"function", "cell"}
 
 
 def test_floors_refuse_a_non_positive_separation(square_cert):
