@@ -193,18 +193,13 @@ def _family_from_config(spec, field):
 # pipelines
 
 def _boxes_geometry(cert):
+    """The certificate's component boxes, depth first, each end reduced
+    from the integer box straight to ``[num, den]`` (``Component.box_pairs``)."""
     boxes = []
     stack = [cert.root]
     while stack:
         node = stack.pop()
-        for comp in node.components:
-            boxes.append(
-                {
-                    "path": comp.path,
-                    "level": comp.level,
-                    "box": [[rat_pair(iv.lo), rat_pair(iv.hi)] for iv in comp.bbox],
-                }
-            )
+        boxes += ({"path": comp.path, "level": comp.level, "box": comp.box_pairs()} for comp in node.components)
         stack.extend(reversed(node.children))
     return {"kind": "boxes", "boxes": boxes}
 

@@ -12,6 +12,7 @@ between the pinned points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -171,77 +172,67 @@ def find_chain_rd(
     certificate node offers dim+1 components pairwise separated by more
     than the gap width on every axis, so at least one of them misses every
     slit and fits in a corner cell.  Translating the companion by
-    ``translate`` runs the same argument anywhere inside the margins.
+    ``translate``, one rational per axis, runs the same argument anywhere
+    inside the margins.
+
+    The walk runs on integers: the cell ends, the companion's level lengths
+    (``integer_lengths``) and the components' integer boxes are numerators
+    over one denominator per call.  A symmetric tree's slit is the open gap
+    between the two child cells, (lo + child, hi - child), so no midpoint
+    is needed.
     """
     d = cert.dimension
     if companion.dim != d:
         raise ValueError("companion dimension does not match the certificate")
     if levels < 1 or levels > cert.depth or levels > companion.base.depth:
         raise ValueError(f"cannot chain {levels} levels with this certificate/companion")
-    _require_gaps_below_floors(companion, cert.dk, levels)
     t = tuple(as_rat(x) for x in translate) if translate is not None else (Fraction(0),) * d
+    if len(t) != d:
+        raise ValueError(f"a translate needs {d} coordinates, got {len(t)}")
+    _require_gaps_below_floors(companion, cert.dk, levels)
     base = companion.base
-    cell = tuple(
-        (base.hull.lo + ti, base.hull.hi + ti) for ti in t
-    )
-    addrs = tuple("" for _ in range(d))
+    box_dens = cert.root.components[0].cover.box_dens
+    nums, len_den = base.integer_lengths
+    corners = [base.hull.lo + ti for ti in t]
+    den = math.lcm(len_den, *box_dens, *(x.denominator for x in corners))
+    sides = [num * (den // len_den) for num in nums[: levels + 1]]
+    scales = [den // q for q in box_dens]
+    cell = [(lo, lo + sides[0]) for lo in (x.numerator * (den // x.denominator) for x in corners)]
+    addrs = ("",) * d
     node = cert.root
     steps = []
-    chosen = None
     for n in range(levels):
-        gap_len = base.gap_lengths[n]
-        child_len = base.level_lengths[n + 1]
-        slits = []
-        for lo, hi in cell:
-            mid = (lo + hi) / 2
-            slits.append((mid - gap_len / 2, mid + gap_len / 2))
-        pick = None
+        child = sides[n + 1]
         for idx, comp in enumerate(node.components):
-            sides = []
-            usable = True
-            for axis in range(d):
-                lo, hi = cell[axis]
-                box = comp.bbox[axis]
-                if box.lo < lo or box.hi > hi:
-                    usable = False
+            picked = []
+            for (lo, hi), (box_lo, box_hi), scale in zip(cell, comp.box, scales):
+                box_lo, box_hi = box_lo * scale, box_hi * scale
+                if box_lo < lo or box_hi > hi:
                     break
-                s_lo, s_hi = slits[axis]
-                if box.hi < s_lo:
-                    sides.append("0")
-                elif box.lo > s_hi:
-                    sides.append("1")
+                if box_hi < lo + child:
+                    picked.append("0")
+                elif box_lo > hi - child:
+                    picked.append("1")
                 else:
-                    usable = False
                     break
-            if usable:
-                pick = (idx, comp, tuple(sides))
-                break
-        if pick is None:
-            raise SlitBlocked(n + 1)
-        idx, comp, sides = pick
-        new_cell = []
-        for axis in range(d):
-            lo, hi = cell[axis]
-            if sides[axis] == "0":
-                new_cell.append((lo, lo + child_len))
             else:
-                new_cell.append((hi - child_len, hi))
-        cell = tuple(new_cell)
-        addrs = tuple(a + s for a, s in zip(addrs, sides))
+                break
+        else:
+            raise SlitBlocked(n + 1)
+        cell = [(lo, lo + child) if side == "0" else (hi - child, hi) for (lo, hi), side in zip(cell, picked)]
+        addrs = tuple(a + side for a, side in zip(addrs, picked))
         steps.append(ChainStep(comp.path, addrs))
-        chosen = comp
         if n < levels - 1:
             node = node.children[idx]
     side = base.level_lengths[levels]
     bound_sq = d * side * side
-    bound = sqrt_bounds(bound_sq, precision_bits(bits))[1]
     return ChainRd(
         steps=tuple(steps),
-        witness_component=tuple(iv.midpoint() for iv in chosen.bbox),
-        witness_cell=tuple(Fraction(lo + hi, 2) for lo, hi in cell),
+        witness_component=tuple(Fraction(lo + hi, 2 * q) for (lo, hi), q in zip(comp.box, box_dens)),
+        witness_cell=tuple(Fraction(lo + hi, 2 * den) for lo, hi in cell),
         cell_side=side,
         bound_sq=bound_sq,
-        bound=bound,
+        bound=sqrt_bounds(bound_sq, precision_bits(bits))[1],
     )
 
 

@@ -60,6 +60,7 @@ from .cantor1d import (
 from .dyadic import precision_bits, sqrt_bounds
 
 DEFAULT_SEPARATION_MARGIN = Fraction(1, 1 << 40)
+_ZERO = Fraction(0)
 
 # A cell is a tuple over factors of (addr, lo, hi); addr is None for a point
 # factor.  The endpoints ride along so refinement never re-walks a tree.
@@ -424,13 +425,13 @@ class AxisComponent:
     numerators over ``axis.den``; a key holds the piece's position within
     its parent piece at every level, which orders the product cells (see
     ``_product_cells``).  ``lo`` and ``hi`` are the exact ends of the
-    pieces, ``box_lo`` and ``box_hi`` the box over ``axis.box_den``.  The
+    pieces, ``box`` the pair of box ends over ``axis.box_den``.  The
     children one refinement step down are computed once, shared by every
     product component that holds this one, and kept until a certificate
     search prunes one of those components (``Component.prune``).
     """
 
-    __slots__ = ("axis", "pieces", "lo", "hi", "box_lo", "box_hi", "_interval", "_children")
+    __slots__ = ("axis", "pieces", "lo", "hi", "box", "_children")
 
     def __init__(self, axis: _Axis, pieces: tuple):
         self.axis = axis
@@ -439,26 +440,16 @@ class AxisComponent:
         # piece and the last.
         lo, hi = self.lo, self.hi = pieces[0][1], pieces[-1][2]
         if axis.bits is None:
-            self.box_lo, self.box_hi = lo, hi
+            self.box = (lo, hi)
         else:
             # Outward snap: floor and ceil of (end + shift) * 2**bits over den.
             den, bits = axis.den, axis.bits
-            self.box_lo = ((lo + axis.shift_lo) << bits) // den
-            self.box_hi = -((-(hi + axis.shift_hi) << bits) // den)
-        self._interval = None
+            self.box = (((lo + axis.shift_lo) << bits) // den, -((-(hi + axis.shift_hi) << bits) // den))
         self._children = None
 
     @property
-    def interval(self) -> Interval:
-        """The box as an ``Interval``, built on first read."""
-        if self._interval is None:
-            den = self.axis.box_den
-            self._interval = Interval(Fraction(self.box_lo, den), Fraction(self.box_hi, den))
-        return self._interval
-
-    @property
     def width(self) -> int:
-        return self.box_hi - self.box_lo
+        return self.box[1] - self.box[0]
 
     def children(self, m: int) -> tuple["AxisComponent", ...]:
         """The axis components of these pieces at level m, the next level
@@ -473,36 +464,45 @@ class Component:
 
     A component of a matrix-free geometry is a product: ``axes`` holds one
     ``AxisComponent`` per factor, its children are the products of their
-    cached children, and its ``bbox``, ``cells`` and ``rects`` are built
-    from their integers on first read.  A component of a mapped geometry
-    has ``axes`` None and keeps the integer cells it came from as
-    ``pieces`` (children and ratio bounds work on them; ``cells`` are
-    built from them at each read and not kept, as an export reads them
-    once), its outward bounding box and its cube index ranges.  Children
-    are the components of the refined cover one step deeper, computed on
-    first use and cached.
+    cached children, its ``box`` is the product of theirs, and its
+    ``cells`` and ``rects`` are built from their integers on first read.  A
+    component of a mapped geometry has ``axes`` None and keeps the integer
+    cells it came from as ``pieces`` (children and ratio bounds work on
+    them; ``cells`` are built from them at each read and not kept, as an
+    export reads them once), its outward box and its cube index ranges.
+    Children are the components of the refined cover one step deeper,
+    computed on first use and cached.
     """
 
     __slots__ = (
-        "cover", "level", "path", "axes", "pieces", "_bbox", "_cells", "_rects", "_children", "__weakref__"
+        "cover", "level", "path", "box", "axes", "pieces", "_bbox", "_cells", "_rects", "_children", "__weakref__"
     )
 
-    def __init__(self, cover, level, bbox, path, *, pieces=None, rects=None, axes=None):
+    def __init__(self, cover, level, box, path, *, pieces=None, rects=None, axes=None):
         self.cover = cover
         self.level = level
         self.path = path
+        # The outward bounding box: per axis (lo, hi), numerators over that
+        # axis's ``cover.box_dens``.
+        self.box = box
         self.axes = axes
         self.pieces = pieces
-        self._bbox = bbox
-        self._cells = None
+        self._bbox = self._cells = self._children = None
         self._rects = rects
-        self._children = None
 
     @property
     def bbox(self) -> tuple[Interval, ...]:
+        """``box`` as ``Interval``s of ``Fraction``s, built on first read."""
         if self._bbox is None:
-            self._bbox = tuple(x.interval for x in self.axes)
+            self._bbox = tuple(
+                Interval(Fraction(lo, den), Fraction(hi, den)) for (lo, hi), den in zip(self.box, self.cover.box_dens)
+            )
         return self._bbox
+
+    def box_pairs(self) -> list:
+        """``box`` as JSON ``[[lo, hi], ...]`` of ``[num, den]`` pairs in
+        lowest terms, ``rat_pair`` of ``bbox`` without a ``Fraction``."""
+        return [[_lowest(lo, den), _lowest(hi, den)] for (lo, hi), den in zip(self.box, self.cover.box_dens)]
 
     @property
     def cells(self) -> tuple:
@@ -529,7 +529,7 @@ class Component:
 
     def diam_sq(self) -> Fraction:
         if self.axes is None:
-            return sum((iv.hi - iv.lo) ** 2 for iv in self.bbox)
+            return Fraction(sum((hi - lo) ** 2 for lo, hi in self.box), self.cover.sq_den)
         return Fraction(sum(x.width ** 2 * x.axis.sq_scale for x in self.axes), self.cover.sq_den)
 
     def children(self) -> list["Component"]:
@@ -554,10 +554,8 @@ class Component:
     def prune(self, keep_cells: bool):
         """Drop the explored subtree: the children of this component and
         those cached on its axis components.  Unless ``keep_cells``, also
-        drop cell-level data; the bounding box and path survive, which is
-        all that separation floors and chains need, and a product component
-        keeps the integer boxes of its axis components, so ``bbox`` can
-        still be read and ``d_min`` still runs on integers.
+        drop cell-level data; the integer box and path survive, which is
+        all that separation floors and chains need.
 
         The search prunes a node's candidates once it is done below them.
         A component that shares an axis component with one of them overlaps
@@ -586,7 +584,7 @@ class Component:
             raise InvalidCertificate("component was stripped; rebuild with keep_cells=True to export")
         return {
             "level": self.level,
-            "bbox": [[rat_pair(iv.lo), rat_pair(iv.hi)] for iv in self.bbox],
+            "bbox": self.box_pairs(),
             "source_cells": [
                 [[rat_pair(lo), rat_pair(hi)] for (_, lo, hi) in cell] for cell in self.cells
             ],
@@ -660,7 +658,10 @@ class _Cover:
     levels, the list of nodes that did not shrink and, for a matrix-free
     geometry, one ``_Axis`` per factor (``axes``, else None).  A mapped
     cover keeps the matrix as integer ``rows``, and ``scales`` per factor
-    and the shift ``offset`` that bring column sums to one ``den``."""
+    and the shift ``offset`` that bring column sums to one ``den``.
+    ``box_dens`` holds the denominator of each axis of the component boxes
+    (``_Axis.box_den``, or 2**bits for a mapped cover), and ``sq_den`` that
+    of their squared diameters."""
 
     def __init__(self, geometry: ProductGeometry, m0: int, max_level: int, refine_step: int, bits: int):
         self.geometry = geometry
@@ -674,10 +675,12 @@ class _Cover:
         if geometry.matrix is None:
             snap = bits if any(s.lo != 0 or s.hi != 0 for s in geometry.shift) else None
             self.axes = [_Axis(f, s, snap) for f, s in zip(geometry.factors, geometry.shift)]
-            self.sq_den = math.lcm(*(axis.box_den ** 2 for axis in self.axes))
+            self.box_dens = tuple(axis.box_den for axis in self.axes)
+            self.sq_den = math.lcm(*(den ** 2 for den in self.box_dens))
             for axis in self.axes:
                 axis.sq_scale = self.sq_den // axis.box_den ** 2
         else:
+            self.box_dens, self.sq_den = (1 << bits,) * geometry.dim, 1 << 2 * bits
             row_den, self.rows = _integer_rows(geometry.matrix.rows)
             dens = [row_den * axis.den for axis in geometry.axes]
             shift = [end for s in geometry.shift for end in (s.lo, s.hi)]
@@ -716,9 +719,10 @@ class _Cover:
         axis, so the cover graph is the strong product of the per-axis
         graphs and its components are the products of the per-axis
         components."""
+        boxes = itertools.product(*([x.box for x in comps] for comps in per_axis))
         return [
-            Component(self, m, None, f"{parent_path}.{idx}", axes=combo)
-            for idx, combo in enumerate(itertools.product(*per_axis))
+            Component(self, m, box, f"{parent_path}.{idx}", axes=combo)
+            for idx, (combo, box) in enumerate(zip(itertools.product(*per_axis), boxes))
         ]
 
     def _cover_components(self, cells, m: int, parent_path: str) -> tuple[list[Component], Fraction]:
@@ -802,33 +806,32 @@ class _Cover:
         for i in range(n):
             groups.setdefault(find(i), []).append(i)
         bits = self.bits
-        unit = 1 << bits
         comps = []
         widest = 0
         for members in groups.values():
             # Outward snap: floor(lo * 2**bits) and ceil(hi * 2**bits) over den.
-            ends = [
+            ends = tuple(
                 (
                     (min(boxes[i][k] for i in members) << bits) // den,
                     -((-max(boxes[i][k + 1] for i in members) << bits) // den),
                 )
                 for k in range(0, 2 * d, 2)
-            ]
+            )
             widest = max(widest, sum((hi - lo) ** 2 for lo, hi in ends))
             comps.append(
                 (
                     tuple(min(rects[i][axis][0] for i in members) for axis in range(d)),
                     tuple(refined[i] for i in members),
                     tuple(sorted({rects[i] for i in members})),
-                    tuple(Interval(Fraction(lo, unit), Fraction(hi, unit)) for lo, hi in ends),
+                    ends,
                 )
             )
         comps.sort(key=lambda item: item[0])
         children = [
-            Component(self, m, bbox, f"{parent_path}.{idx}", pieces=pieces, rects=rects_)
-            for idx, (_, pieces, rects_, bbox) in enumerate(comps)
+            Component(self, m, box, f"{parent_path}.{idx}", pieces=pieces, rects=rects_)
+            for idx, (_, pieces, rects_, box) in enumerate(comps)
         ]
-        return children, Fraction(widest, unit * unit)
+        return children, Fraction(widest, self.sq_den)
 
 
 def build_nested_rep(
@@ -861,23 +864,24 @@ def components_at(rep: NestedRep, level_index: int) -> list[Component]:
 
 
 def d_min(a, b) -> Fraction:
-    """Certified axis-wise separation lower bound for two components.
+    """Certified axis-wise separation lower bound for two components, or
+    for two boxes given as tuples of ``Interval``s.
 
     Per axis this is the gap between the bounding-box projections (zero if
-    they overlap or touch); the result is the minimum over axes.  Boxes are
-    outward, so the true sets are at least this far apart on every axis.
+    they overlap or touch); the result is the minimum over axes, as a
+    ``Fraction``.  Boxes are outward, so the true sets are at least this far
+    apart on every axis.  Two components of one cover compare their integer
+    boxes, whose per-axis denominators are the cover's ``box_dens``, by
+    cross-multiplying; other components compare their ``bbox``.
     """
-    if isinstance(a, Component) and isinstance(b, Component) and a.axes and b.axes and a.cover is b.cover:
-        # Product components compare integer boxes; a box's denominator is
-        # its axis's, so the least gap is found by cross-multiplying.
+    if isinstance(a, Component) and isinstance(b, Component) and a.cover is b.cover:
         best_n, best_q = None, 1
-        for xa, xb in zip(a.axes, b.axes):
-            gap = xb.box_lo - xa.box_hi
+        for (a_lo, a_hi), (b_lo, b_hi), den in zip(a.box, b.box, a.cover.box_dens):
+            gap = b_lo - a_hi
             if gap <= 0:
-                gap = xa.box_lo - xb.box_hi
+                gap = a_lo - b_hi
                 if gap <= 0:
-                    return Fraction(0)
-            den = xa.axis.box_den
+                    return _ZERO
             if best_n is None or gap * best_q < best_n * den:
                 best_n, best_q = gap, den
         return Fraction(best_n, best_q)
@@ -890,10 +894,16 @@ def d_min(a, b) -> Fraction:
         elif ia.lo > ib.hi:
             gap = ia.lo - ib.hi
         else:
-            return Fraction(0)
+            return _ZERO
         if best is None or gap < best:
             best = gap
     return best
+
+
+def _lowest(num: int, den: int) -> list[int]:
+    """``rat_pair(Fraction(num, den))`` for den > 0, by one gcd."""
+    g = math.gcd(num, den)
+    return [num // g, den // g]
 
 
 def _over(x, den: int) -> int:
@@ -1018,10 +1028,9 @@ def kappa_ratios(a: Component, b: Component) -> tuple[Fraction, Fraction]:
     d = geometry.dim
     if d < 2:
         raise ValueError("ratio bounds need at least two axes")
-    sep = d_min(a, b)
-    if sep <= 0:
-        for axis, (ia, ib) in enumerate(zip(a.bbox, b.bbox)):
-            if max(ib.lo - ia.hi, ia.lo - ib.hi, Fraction(0)) <= 0:
+    if d_min(a, b) <= 0:
+        for axis, ((a_lo, a_hi), (b_lo, b_hi)) in enumerate(zip(a.box, b.box)):
+            if max(b_lo - a_hi, a_lo - b_hi) <= 0:
                 raise DegeneratePair(axis, f"components overlap along axis {axis}")
     if geometry.matrix is None:
         gaps, spans = [], []
@@ -1150,19 +1159,16 @@ class UndCertificate:
 def _confinement_explanation(dim: int, comps: list[Component], margin: Fraction) -> str:
     if len(comps) < dim + 1:
         return f"only {len(comps)} component(s) available"
-    for axis in range(dim):
+    for axis, den in enumerate(comps[0].cover.box_dens):
         # Max pairwise separation on this axis is max(lo) - min(hi) over
         # distinct components; track the two extremes of each to avoid the
-        # quadratic pair scan.
-        los = sorted(range(len(comps)), key=lambda i: comps[i].bbox[axis].lo, reverse=True)[:2]
-        his = sorted(range(len(comps)), key=lambda i: comps[i].bbox[axis].hi)[:2]
-        best = None
-        for i in los:
-            for j in his:
-                if i != j:
-                    sep = comps[i].bbox[axis].lo - comps[j].bbox[axis].hi
-                    best = sep if best is None else max(best, sep)
-        if best is not None and best < margin:
+        # quadratic pair scan.  The ends are numerators over den, so the
+        # margin test cross-multiplies.
+        ends = [comp.box[axis] for comp in comps]
+        los = sorted(range(len(comps)), key=lambda i: ends[i][0], reverse=True)[:2]
+        his = sorted(range(len(comps)), key=lambda i: ends[i][1])[:2]
+        best = max(ends[i][0] - ends[j][1] for i in los for j in his if i != j)
+        if best * margin.denominator < margin.numerator * den:
             return (
                 f"components appear confined near a hyperplane orthogonal to axis {axis} "
                 f"(no axis-{axis} separation above {margin})"
@@ -1172,15 +1178,18 @@ def _confinement_explanation(dim: int, comps: list[Component], margin: Fraction)
 
 def _find_selection(comps, need: int, margin: Fraction, kappa: Fraction | None):
     """First clique (in deterministic order) of ``need`` pairwise-separated
-    components, honoring the ratio cap when one is demanded."""
+    components, honoring the ratio cap when one is demanded.  Each pair's
+    ``d_min`` is held to the margin by cross-multiplying numerators and
+    denominators, not by a ``Fraction`` comparison."""
     n = len(comps)
     pair_cache: dict[tuple[int, int], tuple | None] = {}
+    margin_n, margin_q = margin.numerator, margin.denominator
 
     def pair_data(i: int, j: int):
         key = (i, j)
         if key not in pair_cache:
             sep = d_min(comps[i], comps[j])
-            if sep < margin:
+            if sep.numerator * margin_q < margin_n * sep.denominator:
                 pair_cache[key] = None
             elif kappa is None:
                 pair_cache[key] = (sep, None)
@@ -1193,7 +1202,8 @@ def _find_selection(comps, need: int, margin: Fraction, kappa: Fraction | None):
                 pair_cache[key] = (sep, (lo, hi)) if hi <= kappa else None
         return pair_cache[key]
 
-    combo = _first_clique(n, need, lambda i, j: pair_data(i, j) is not None)
+    # pair_data is None for a pair that does not join, a non-empty tuple else.
+    combo = _first_clique(n, need, pair_data)
     if combo is None:
         return None
     remap = {orig: pos for pos, orig in enumerate(combo)}
@@ -1220,7 +1230,10 @@ def _first_clique(n: int, need: int, joins, stack: tuple = (), start: int = 0):
     if len(stack) == need:
         return stack
     for cand in range(start, n):
-        if all(joins(i, cand) for i in stack):
+        for i in stack:
+            if not joins(i, cand):
+                break
+        else:
             found = _first_clique(n, need, joins, stack + (cand,), cand + 1)
             if found:
                 return found

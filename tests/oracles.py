@@ -123,6 +123,67 @@ def boxes_intersect(boxes_a, boxes_b, shift):
     return False
 
 
+def reference_find_chain_rd(cert, companion, levels, translate=None, bits=None):
+    """The R^d chain walk in ``Fraction``s, on the components' ``bbox``.
+
+    Each cell is a pair of ``Fraction`` ends per axis, its slit is centered
+    at the cell's midpoint with half the stage gap on either side, and the
+    first component inside the cell and clear of every slit is taken.
+    ``containment_rd.find_chain_rd`` must return the same ``ChainRd`` or
+    raise ``SlitBlocked`` at the same level.
+    """
+    from cantorforge.containment_rd import ChainRd, ChainStep, SlitBlocked
+    from cantorforge.dyadic import precision_bits, sqrt_bounds
+
+    d = cert.dimension
+    t = tuple(Fraction(x) for x in translate) if translate is not None else (Fraction(0),) * d
+    base = companion.base
+    cell = tuple((base.hull.lo + ti, base.hull.hi + ti) for ti in t)
+    addrs = ("",) * d
+    node = cert.root
+    steps = []
+    for n in range(levels):
+        gap_len = base.gap_lengths[n]
+        child_len = base.level_lengths[n + 1]
+        slits = [((lo + hi) / 2 - gap_len / 2, (lo + hi) / 2 + gap_len / 2) for lo, hi in cell]
+        pick = None
+        for idx, comp in enumerate(node.components):
+            sides = []
+            for (lo, hi), (s_lo, s_hi), box in zip(cell, slits, comp.bbox):
+                if box.lo < lo or box.hi > hi:
+                    break
+                if box.hi < s_lo:
+                    sides.append("0")
+                elif box.lo > s_hi:
+                    sides.append("1")
+                else:
+                    break
+            else:
+                pick = (idx, comp, sides)
+                break
+        if pick is None:
+            raise SlitBlocked(n + 1)
+        idx, comp, sides = pick
+        cell = tuple(
+            (lo, lo + child_len) if side == "0" else (hi - child_len, hi)
+            for (lo, hi), side in zip(cell, sides)
+        )
+        addrs = tuple(a + side for a, side in zip(addrs, sides))
+        steps.append(ChainStep(comp.path, addrs))
+        if n < levels - 1:
+            node = node.children[idx]
+    side = base.level_lengths[levels]
+    bound_sq = d * side * side
+    return ChainRd(
+        steps=tuple(steps),
+        witness_component=tuple(iv.midpoint() for iv in comp.bbox),
+        witness_cell=tuple((lo + hi) / 2 for lo, hi in cell),
+        cell_side=side,
+        bound_sq=bound_sq,
+        bound=sqrt_bounds(bound_sq, precision_bits(bits))[1],
+    )
+
+
 # ---------------------------------------------------------------------------
 # high-precision and exact recomputation for the slice solvers
 

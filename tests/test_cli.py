@@ -423,7 +423,7 @@ def test_emit_geometry_accepts_bare_trees(tmp_path, thirds20):
     assert rows == 4
 
 
-@pytest.mark.parametrize("name", ["nondegeneracy_square", "interior_square"])
+@pytest.mark.parametrize("name", ["nondegeneracy_square", "interior_square", "companion_square", "rotate_fix_line"])
 def test_a_certificate_run_leaves_no_cyclic_garbage_behind(tmp_path, name):
     # Reference counting alone must free the search tree and the report, as
     # what only a full collection frees stays until one happens.

@@ -1,9 +1,13 @@
+import functools
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
-from cantorforge.cantor1d import Interval
+from cantorforge.cantor1d import Interval, middle_thirds, rat_pair
+from cantorforge.cli import _boxes_geometry
 from cantorforge.containment1d import NoMargin, grid_values
 from cantorforge.containment_rd import (
     InfeasibleGaps,
@@ -12,6 +16,7 @@ from cantorforge.containment_rd import (
     certify_sum_interior_rd,
     find_chain_rd,
 )
+from cantorforge.nested_rd import ProductGeometry, RotationMatrix, build_nested_rep, d_min, und_certificate
 
 
 @pytest.fixture()
@@ -123,3 +128,112 @@ def test_level_budget_validated(square_cert, companion):
         find_chain_rd(cert, companion, 4)
     with pytest.raises(ValueError):
         certify_sum_interior_rd(cert, companion, 0)
+
+
+def test_a_translate_needs_one_coordinate_per_axis(square_cert, companion):
+    cert, _rep = square_cert
+    for t in ((Fraction(0),), (Fraction(0),) * 3):
+        with pytest.raises(ValueError, match="translate needs 2 coordinates, got"):
+            find_chain_rd(cert, companion, 3, translate=t)
+
+
+# ---------------------------------------------------------------------------
+# the integer chain walk against the Fraction reference
+
+CHAIN_CASES = ("unshifted", "shifted", "mapped")
+
+
+@functools.lru_cache(maxsize=None)
+def chain_case(kind):
+    """A depth-2 certificate of a thirds square (plain product, shifted
+    product, or axis-mixing map), its companion and its interior box."""
+    matrix, shift = {
+        "unshifted": (None, None),
+        "shifted": (None, (Fraction(3), Fraction(-2))),
+        "mapped": (RotationMatrix.axis_mixing(2), (Fraction(1, 3), Fraction(0))),
+    }[kind]
+    geom = ProductGeometry([middle_thirds(10), middle_thirds(10)], matrix=matrix, shift=shift)
+    rep = build_nested_rep(geom, 2, 9, refine_step=3)
+    cert = und_certificate(rep, max_k=2, depth=2)
+    companion = build_product_companion(rep.exact_hull, cert.dk, Fraction(1, 2), Fraction(1, 10))
+    return cert, companion, certify_sum_interior_rd(cert, companion, 2)
+
+
+def chain_outcome(walk, cert, companion, levels, t):
+    try:
+        return walk(cert, companion, levels, translate=t)
+    except SlitBlocked as exc:
+        return "blocked", exc.level
+
+
+@pytest.mark.parametrize("kind", CHAIN_CASES)
+def test_integer_chain_walk_matches_the_reference_on_a_grid(kind):
+    # A grid over the interior box widened by its own width on each side:
+    # the points inside it chain, some outside it are blocked.
+    cert, companion, box = chain_case(kind)
+    wide = [grid_values(Interval(iv.lo - iv.length, iv.hi + iv.length), 9) for iv in box]
+    seen = set()
+    for t in itertools.product(*wide):
+        got = chain_outcome(find_chain_rd, cert, companion, 2, t)
+        assert got == chain_outcome(oracles.reference_find_chain_rd, cert, companion, 2, t)
+        blocked = isinstance(got, tuple)
+        assert not blocked or not all(iv.lo <= x <= iv.hi for iv, x in zip(box, t))
+        seen.add(blocked)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("kind", CHAIN_CASES)
+def test_integer_chain_walk_matches_the_reference_where_edges_meet(kind):
+    # Translates that put a first-level cell end or slit edge exactly on an
+    # end of a root component's box, where a strict comparison and a loose
+    # one part ways.
+    cert, companion, box = chain_case(kind)
+    base = companion.base
+    whole, child = base.level_lengths[0], base.level_lengths[1]
+    center = [iv.midpoint() for iv in box]
+    for comp in cert.root.components:
+        for axis, iv in enumerate(comp.bbox):
+            for end, offset in itertools.product((iv.lo, iv.hi), (0, child, whole - child, whole)):
+                t = center[:axis] + [end - base.hull.lo - offset] + center[axis + 1:]
+                for levels in (1, 2):
+                    got = chain_outcome(find_chain_rd, cert, companion, levels, t)
+                    assert got == chain_outcome(oracles.reference_find_chain_rd, cert, companion, levels, t)
+
+
+@st.composite
+def chain_inputs(draw):
+    kind = draw(st.sampled_from(CHAIN_CASES))
+    cert, _companion, box = chain_case(kind)
+    levels = draw(st.integers(min_value=1, max_value=cert.depth))
+    # A position u along each axis of the box widened by its own width on
+    # each side: u in [0, 1] lies inside the box, its ends included.
+    u = st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]), st.fractions(-1, 2, max_denominator=1 << 20)
+    )
+    t = tuple(iv.lo + draw(u) * iv.length for iv in box)
+    return kind, levels, t
+
+
+@settings(max_examples=150)
+@given(chain_inputs())
+def test_integer_chain_walk_matches_the_fraction_reference(case):
+    kind, levels, t = case
+    cert, companion, _box = chain_case(kind)
+    assert chain_outcome(find_chain_rd, cert, companion, levels, t) == chain_outcome(
+        oracles.reference_find_chain_rd, cert, companion, levels, t
+    )
+
+
+@pytest.mark.parametrize("kind", CHAIN_CASES)
+def test_integer_boxes_match_the_fraction_view(kind):
+    cert, _companion, _box = chain_case(kind)
+    comps = [comp for k in range(1, cert.depth + 1) for node in cert.nodes_at_level(k) for comp in node.components]
+    fraction_boxes = {comp.path: [[rat_pair(iv.lo), rat_pair(iv.hi)] for iv in comp.bbox] for comp in comps}
+    exported = _boxes_geometry(cert)["boxes"]
+    assert len(exported) == len(comps)
+    for entry in exported:
+        assert entry["box"] == fraction_boxes[entry["path"]]
+    for comp in comps:
+        assert comp.to_json_obj()["bbox"] == fraction_boxes[comp.path]
+    for a, b in itertools.combinations(comps, 2):
+        assert d_min(a, b) == d_min(a.bbox, b.bbox)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cantorforge.cantor1d import Interval
+from cantorforge.cantor1d import Interval, rat_pair
 from cantorforge.nested_rd import (
     DegeneratePair,
     ProductGeometry,
@@ -163,3 +163,18 @@ def test_mapped_kappa_ratios_match_the_exported_corner_scan(case):
                 assert outcome(kappa_ratios, a, b) == "degenerate"
                 continue
             assert outcome(kappa_ratios, a, b) == outcome(exported_scan, a, b, rows, geom.dim)
+
+
+@settings(max_examples=40)
+@given(mapped_geometries())
+def test_mapped_integer_boxes_match_the_fraction_view(case):
+    geom, m0, max_level, step, bits = case
+    rep = build_nested_rep(geom, m0, max_level, step, bits)
+    level = 0
+    while comps := components_at(rep, level):
+        level += 1
+        for comp in comps:
+            assert comp.diam_sq() == sum((iv.hi - iv.lo) ** 2 for iv in comp.bbox)
+            assert comp.box_pairs() == [[rat_pair(iv.lo), rat_pair(iv.hi)] for iv in comp.bbox]
+        for a, b in itertools.combinations(comps[:12], 2):
+            assert d_min(a, b) == d_min(a.bbox, b.bbox)

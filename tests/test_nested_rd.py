@@ -16,6 +16,7 @@ from cantorforge.nested_rd import (
     ProductGeometry,
     RotationMatrix,
     UndCertificate,
+    _confinement_explanation,
     build_nested_rep,
     components_at,
     d_min,
@@ -178,6 +179,33 @@ def test_flat_geometry_fails_with_axis_diagnosis():
     with pytest.raises(CertificateNotFound) as exc:
         und_certificate(rep, max_k=8, depth=1)
     assert "axis 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("matrix", [None, RotationMatrix.identity(2)], ids=["product", "mapped"])
+def test_a_flat_line_keeps_its_confinement_text(matrix):
+    geom = ProductGeometry([middle_thirds(8), Fraction(0)], matrix=matrix)
+    rep = build_nested_rep(geom, 2, 10, refine_step=2)
+    with pytest.raises(CertificateNotFound) as exc:
+        und_certificate(rep, max_k=8, depth=1)
+    assert str(exc.value) == (
+        "no separated selection at node 'r' within 8 descent steps: components appear confined "
+        "near a hyperplane orthogonal to axis 1 (no axis-1 separation above 1/1099511627776)"
+    )
+
+
+@pytest.mark.parametrize("matrix", [None, RotationMatrix.axis_mixing(2)], ids=["product", "mapped"])
+def test_confinement_compares_the_widest_separation_with_the_margin(matrix):
+    # The widest separation between two components on each axis, from
+    # their Fraction boxes: a margin equal to the least of them is met on
+    # every axis, a larger one is not met on the axis it came from.
+    geom = ProductGeometry([middle_thirds(6), middle_thirds(6)], matrix=matrix)
+    comps = components_at(build_nested_rep(geom, 2, 4, refine_step=2), 1)
+    widest = [max(a.bbox[ax].lo - b.bbox[ax].hi for a in comps for b in comps if a is not b) for ax in range(2)]
+    margin = min(widest)
+    assert margin > 0
+    assert _confinement_explanation(2, comps, margin) == "no separated selection among the available components"
+    text = _confinement_explanation(2, comps, margin + Fraction(1, 10**30))
+    assert f"orthogonal to axis {widest.index(margin)} " in text
 
 
 def test_rotation_search_fixes_the_flat_line():
