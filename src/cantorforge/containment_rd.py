@@ -86,11 +86,12 @@ def build_product_companion(
 
     ``cert_hull`` is the per-axis hull of the certified geometry, one
     ``Interval`` per axis (``NestedRep.exact_hull``); the base interval I
-    spans the widest axis extent, inflated by ``margin`` on both sides, and
-    the same base tree is used on every axis.  ``floors`` are the
-    separation floors d_k (``UndCertificate.dk``), a non-empty sequence of
-    positive rationals; a float floor is a TypeError.  shrink < 1 keeps
-    every gap strictly below its floor, which the chain needs.
+    spans the union [min lo, max hi] of the axis hulls, inflated by
+    ``margin`` on both sides, and the same base tree is used on every axis,
+    so axes shifted apart make I, every chain cell and the bound longer.
+    ``floors`` are the separation floors d_k (``UndCertificate.dk``), a
+    non-empty sequence of positive rationals; a float floor is a TypeError.
+    shrink < 1 keeps every gap strictly below its floor, which the chain needs.
     """
     shrink = as_rat(shrink)
     margin = as_rat(margin)

@@ -129,13 +129,10 @@ def iv_pow(v: Interval, e: Fraction, bits: int) -> Interval:
 
     Used for box enclosures (``HSpec.slice_enclosure``); the slice points
     of a ``MonotoneImageTree`` chain ``iroot_bounds`` on integers instead.
-    A point interval is enclosed once: both ends would give the same bounds.
     """
     if v.lo <= 0:
         raise ValueError("iv_pow requires a strictly positive interval")
     a_lo, a_hi = pow_bounds(v.lo, e, bits)
-    if v.lo == v.hi:
-        return Interval(a_lo, a_hi)
     b_lo, b_hi = pow_bounds(v.hi, e, bits)
     if e >= 0:
         return Interval(a_lo, b_hi)

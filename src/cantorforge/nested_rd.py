@@ -545,12 +545,6 @@ class Component:
                     self.cover.not_shrinking.append(self.path)
         return self._children
 
-    def descendants(self, k: int) -> list["Component"]:
-        comps = [self]
-        for _ in range(k):
-            comps = [child for c in comps for child in c.children()]
-        return comps
-
     def prune(self, keep_cells: bool):
         """Drop the explored subtree: the children of this component and
         those cached on its axis components.  Unless ``keep_cells``, also
@@ -633,11 +627,12 @@ class NestedRep:
 
     ``root_components`` are the components at level ``m0``; each component
     hands out its own children at ``m0 + refine_step`` and so on down to
-    ``max_level``.  Nodes that fail to shrink are recorded on
-    ``not_shrinking`` as they are discovered, never raised.  A certificate
-    search prunes the tree as it returns (see ``und_certificate``), so
-    afterwards the root components hold no children and the only other
-    components still reachable are those the certificate selected.
+    ``max_level``.  Nodes that fail to shrink are listed, never raised, on
+    ``not_shrinking`` as they expand: a search lists only those it expanded.
+    A certificate search prunes the tree as it returns (see
+    ``und_certificate``), so afterwards the root components hold no
+    children and the only other components still reachable are those the
+    certificate selected.
 
     The components refer to the rep's ``cover``, which holds everything
     but the components, so the tree holds no reference cycle: a rep that
@@ -853,10 +848,33 @@ def build_nested_rep(
 
 def components_at(rep: NestedRep, level_index: int) -> list[Component]:
     """Components at the level_index-th cover level (0 = the m0 cover)."""
-    comps = rep.root_components
-    for _ in range(level_index):
-        comps = [child for c in comps for child in c.children()]
-    return comps
+    return [c for block in _walk(rep.root_components, level_index) for c in block]
+
+
+def _walk(parents, k: int):
+    """The components k refinement steps below ``parents``, in the order of a
+    level-by-level expansion, as blocks: each parent's ``children()``, or
+    ``parents`` itself when k = 0.  A parent expands when its block is read."""
+    if k == 0:
+        return iter((parents,))
+    return itertools.chain.from_iterable(_walk(comp.children(), k - 1) for comp in parents)
+
+
+class _Candidates(list):
+    """The components of a ``_walk``, appended a block at a time when asked
+    for.  The walk holds no reference to the list: a dropped list frees it."""
+
+    __slots__ = ("_source",)
+
+    def __init__(self, walk):
+        super().__init__()
+        self._source = walk
+
+    def grow(self, n: int) -> bool:
+        """Append blocks until more than n items exist; whether they do."""
+        while len(self) <= n and (block := next(self._source, None)) is not None:
+            self.extend(block)
+        return len(self) > n
 
 
 # ---------------------------------------------------------------------------
@@ -1176,12 +1194,11 @@ def _confinement_explanation(dim: int, comps: list[Component], margin: Fraction)
     return "no separated selection among the available components"
 
 
-def _find_selection(comps, need: int, margin: Fraction, kappa: Fraction | None):
+def _find_selection(comps: _Candidates, need: int, margin: Fraction, kappa: Fraction | None):
     """First clique (in deterministic order) of ``need`` pairwise-separated
     components, honoring the ratio cap when one is demanded.  Each pair's
     ``d_min`` is held to the margin by cross-multiplying numerators and
     denominators, not by a ``Fraction`` comparison."""
-    n = len(comps)
     pair_cache: dict[tuple[int, int], tuple | None] = {}
     margin_n, margin_q = margin.numerator, margin.denominator
 
@@ -1203,7 +1220,7 @@ def _find_selection(comps, need: int, margin: Fraction, kappa: Fraction | None):
         return pair_cache[key]
 
     # pair_data is None for a pair that does not join, a non-empty tuple else.
-    combo = _first_clique(n, need, pair_data)
+    combo = _first_clique(comps, need, pair_data)
     if combo is None:
         return None
     remap = {orig: pos for pos, orig in enumerate(combo)}
@@ -1217,54 +1234,58 @@ def _find_selection(comps, need: int, margin: Fraction, kappa: Fraction | None):
     return tuple(comps[i] for i in combo), dmins, ratios
 
 
-def _first_clique(n: int, need: int, joins, stack: tuple = (), start: int = 0):
-    """The lexicographically first ``need`` indices below n that pairwise
-    ``joins``, extending ``stack`` with indices from ``start`` on.
+def _first_clique(comps: _Candidates, need: int, joins, stack: tuple = (), start: int = 0):
+    """The lexicographically first ``need`` indices into ``comps`` that
+    pairwise ``joins``, extending ``stack`` with indices from ``start`` on.
 
     Depth-first growth with ascending indices finds the clique a
     combinations scan would, but prunes as soon as a pair fails; with no
     valid pairs at all (the degenerate geometries) the cost stays quadratic
-    instead of C(n, need).  It recurses at module level, as a nested
-    function that calls itself is a reference cycle, which would keep the
-    candidates it saw alive until the next full collection."""
+    instead of C(n, need).  ``comps`` grows only when the loop passes its
+    end, so a search that fails has read its whole walk.  It recurses at
+    module level, as a nested function that calls itself is a reference
+    cycle, which would keep the candidates it saw alive until the next
+    full collection."""
     if len(stack) == need:
         return stack
-    for cand in range(start, n):
+    cand = start
+    while cand < len(comps) or comps.grow(cand):
         for i in stack:
             if not joins(i, cand):
                 break
         else:
-            found = _first_clique(n, need, joins, stack + (cand,), cand + 1)
+            found = _first_clique(comps, need, joins, stack + (cand,), cand + 1)
             if found:
                 return found
+        cand += 1
     return None
 
 
-def _descend(
-    candidates_of, path: str, remaining: int, need: int, max_k: int, margin, kappa, keep_cells
-) -> CertNode:
+def _descend(level1, path: str, remaining: int, need: int, max_k: int, margin, kappa, keep_cells) -> CertNode:
     """The certificate node of ``und_certificate`` at ``path``, whose
-    candidates k refinement steps down are ``candidates_of(k)``.  It recurses
+    candidates k refinement steps down are the ``_walk`` k - 1 steps below
+    ``level1``, built only as far as the search reads them.  It recurses
     at module level: a nested function that calls itself is a reference
     cycle, which would keep what it holds until the next full collection."""
     probe_comps: list[Component] = []
     for k in range(1, max_k + 1):
-        comps = candidates_of(k)
+        comps = _Candidates(_walk(level1, k - 1))
+        enough = comps.grow(need - 1)
         # Remember the deepest probe with enough components: if the
         # search fails, that level gives the most informative diagnosis
         # (confinement patterns only show once the cover has split).
-        if not probe_comps or len(comps) >= need:
+        if not probe_comps or enough:
             probe_comps = comps
-        if len(comps) < need:
+        if not enough:
             continue
         found = _find_selection(comps, need, margin, kappa)
         if found is not None:
             selected, dmins, ratios = found
             children = tuple(
-                _descend(comp.descendants, comp.path, remaining - 1, need, max_k, margin, kappa, keep_cells)
+                _descend(comp.children(), comp.path, remaining - 1, need, max_k, margin, kappa, keep_cells)
                 for comp in (selected if remaining > 1 else ())
             )
-            for comp in (*candidates_of(1), *selected):
+            for comp in (*level1, *selected):
                 comp.prune(keep_cells)
             return CertNode(k, selected, dmins, ratios, children)
     raise CertificateNotFound(path, max_k, _confinement_explanation(need - 1, probe_comps, margin))
@@ -1280,9 +1301,10 @@ def und_certificate(
     """Search for a nested separated selection of arity dim+1.
 
     At each node the search looks among descendants 1, 2, ..., max_k
-    refinement steps down for dim+1 components pairwise separated by at
-    least ``DEFAULT_SEPARATION_MARGIN`` on every axis (kappa-comparable too
-    when ``kappa`` is given), then recurses into each selected component.
+    refinement steps down, built in order and only as far as it reads
+    them, for dim+1 components pairwise separated by at least
+    ``DEFAULT_SEPARATION_MARGIN`` on every axis (kappa-comparable too when
+    ``kappa`` is given), then recurses into each selected component.
     ``depth``, ``max_k`` and ``kappa`` are at least 1 (no ratio bound is
     below 1, as those of (i, j) and (j, i) are reciprocal).
     Once a node's search is done it prunes its level-1 candidates and its
@@ -1302,7 +1324,7 @@ def und_certificate(
     if kappa is not None and kappa < 1:
         raise ValueError(f"kappa must be at least 1, got {kappa}")
     margin = DEFAULT_SEPARATION_MARGIN
-    root = _descend(lambda k: components_at(rep, k - 1), "r", depth, rep.dim + 1, max_k, margin, kappa, keep_cells)
+    root = _descend(rep.root_components, "r", depth, rep.dim + 1, max_k, margin, kappa, keep_cells)
     return UndCertificate(
         rep.dim, kappa, depth, margin, rep.bits, root, rep.geometry.matrix, rep.geometry.shift
     )

@@ -583,3 +583,92 @@ def reference_box_ratios(axes_a, axes_b):
         spans.append(max(b_hi - a_lo, a_hi - b_lo))
     pairs = [(i, j) for i in range(len(gaps)) for j in range(len(gaps)) if i != j]
     return min(gaps[i] / spans[j] for i, j in pairs), max(spans[i] / gaps[j] for i, j in pairs)
+
+
+# ---------------------------------------------------------------------------
+# certificate search
+
+def reference_und_certificate(rep, kappa=None, max_k=2, depth=1, keep_cells=True):
+    """The certificate search with every candidate list built in full.
+
+    At each node the candidates k refinement steps down are expanded level
+    by level, all of them, before the search reads one; the first clique
+    comes from a plain loop over ``range(n)``, and ``d_min`` is held to the
+    margin as a ``Fraction`` comparison.  ``und_certificate`` builds its
+    candidates only as far as its clique search reads them and must give
+    the same certificate, or a ``CertificateNotFound`` with the same text.
+    """
+    from cantorforge.nested_rd import (
+        DEFAULT_SEPARATION_MARGIN,
+        CertificateNotFound,
+        CertNode,
+        DegeneratePair,
+        UndCertificate,
+        _confinement_explanation,
+        d_min,
+        kappa_ratios,
+    )
+
+    margin = DEFAULT_SEPARATION_MARGIN
+    kappa = None if kappa is None else Fraction(kappa)
+    need = rep.dim + 1
+
+    def joins(a, b):
+        sep = d_min(a, b)
+        if sep < margin:
+            return None
+        if kappa is None:
+            return sep, None
+        try:
+            lo, hi = kappa_ratios(a, b)
+        except DegeneratePair:
+            return None
+        return (sep, (lo, hi)) if hi <= kappa else None
+
+    def first_clique(n, pair, stack, start):
+        if len(stack) == need:
+            return stack
+        for cand in range(start, n):
+            if all(pair(i, cand) for i in stack):
+                found = first_clique(n, pair, stack + (cand,), cand + 1)
+                if found:
+                    return found
+        return None
+
+    def node(level1, path, remaining):
+        probe = []
+        for k in range(1, max_k + 1):
+            comps = level1
+            for _ in range(k - 1):
+                comps = [child for c in comps for child in c.children()]
+            if not probe or len(comps) >= need:
+                probe = comps
+            if len(comps) < need:
+                continue
+            cache = {}
+
+            def pair(i, j):
+                if (i, j) not in cache:
+                    cache[(i, j)] = joins(comps[i], comps[j])
+                return cache[(i, j)]
+
+            combo = first_clique(len(comps), pair, (), 0)
+            if combo is None:
+                continue
+            selected = tuple(comps[i] for i in combo)
+            dmins, ratios = {}, ({} if kappa is not None else None)
+            for (a, i), (b, j) in combinations(enumerate(combo), 2):
+                sep, rat = pair(i, j)
+                dmins[(a, b)] = sep
+                if rat is not None:
+                    ratios[(a, b)] = rat
+            children = tuple(
+                node(c.children(), c.path, remaining - 1) for c in (selected if remaining > 1 else ())
+            )
+            for c in (*level1, *selected):
+                c.prune(keep_cells)
+            return CertNode(k, selected, dmins, ratios, children)
+        raise CertificateNotFound(path, max_k, _confinement_explanation(need - 1, probe, margin))
+
+    root = node(rep.root_components, "r", depth)
+    return UndCertificate(rep.dim, kappa, depth, margin, rep.bits, root, rep.geometry.matrix, rep.geometry.shift)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from cantorforge.cantor1d import Interval, canonical_json, middle_thirds, rat_from_pair
 from cantorforge.nested_rd import (
     CertificateNotFound,
@@ -17,6 +18,7 @@ from cantorforge.nested_rd import (
     RotationMatrix,
     UndCertificate,
     _confinement_explanation,
+    _Cover,
     build_nested_rep,
     components_at,
     d_min,
@@ -327,6 +329,91 @@ def test_search_and_verify_leave_no_closure_cycles(matrix):
         gc.garbage.clear()
         gc.enable()
     assert not kinds & {"function", "cell"}
+
+
+SEARCH_CASES = {
+    "square": ([middle_thirds(8), middle_thirds(8)], None, None, None),
+    "shifted": ([middle_thirds(8), middle_thirds(8)], None, (Fraction(3), Fraction(-2)), None),
+    "mixing": ([middle_thirds(8), middle_thirds(8)], RotationMatrix.axis_mixing(2), None, None),
+    "kappa": ([middle_thirds(8), middle_thirds(8)], None, None, 9),
+    "flat": ([middle_thirds(8), Fraction(0)], None, None, None),
+}
+
+
+def case_rep(case, levels):
+    factors, matrix, shift, _ = SEARCH_CASES[case]
+    return build_nested_rep(ProductGeometry(factors, matrix, shift), *levels)
+
+
+def search_outcome(search, case, levels, max_k, depth):
+    try:
+        return search(case_rep(case, levels), kappa=SEARCH_CASES[case][3], max_k=max_k, depth=depth).to_json()
+    except CertificateNotFound as exc:
+        return f"CertificateNotFound: {exc}"
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("max_k", [1, 2, 3])
+@pytest.mark.parametrize("levels", [(2, 11, 3), (3, 11, 2)], ids=["m0=2", "m0=3"])
+@pytest.mark.parametrize("case", sorted(SEARCH_CASES))
+def test_lazy_candidates_give_the_eager_search_result(case, levels, max_k, depth):
+    # Candidates built only as far as the clique search reads them give the
+    # certificate, or the failure text, of lists built in full.
+    ours = search_outcome(und_certificate, case, levels, max_k, depth)
+    assert ours == search_outcome(oracles.reference_und_certificate, case, levels, max_k, depth)
+
+
+def expand_calls(monkeypatch, *args):
+    """``_Cover._expand`` calls of the search and of the eager reference
+    on one case of ``search_outcome``."""
+    calls = []
+    expand = _Cover._expand
+
+    def counted(cover, comp, m):
+        calls.append(comp.path)
+        return expand(cover, comp, m)
+
+    monkeypatch.setattr(_Cover, "_expand", counted)
+    counts = []
+    for search in (und_certificate, oracles.reference_und_certificate):
+        calls.clear()
+        search_outcome(search, *args)
+        counts.append(len(calls))
+    return counts
+
+
+def test_a_node_that_falls_through_expands_fewer_parents(monkeypatch):
+    # On the axis-mixing square the level-2 nodes need k = 2; the clique
+    # search reads the candidates of only some of their children.
+    cert = und_certificate(case_rep("mixing", (3, 11, 2)), max_k=2, depth=2)
+    assert {node.k_used for node in cert.nodes_at_level(2)} == {2}
+    ours, eager = expand_calls(monkeypatch, "mixing", (3, 11, 2), 2, 2)
+    assert ours < eager
+
+
+def test_a_search_that_reads_every_parent_expands_them_all(monkeypatch):
+    # The geometry and search of the ``square_cert`` fixture.
+    ours, eager = expand_calls(monkeypatch, "kappa", (2, 11, 3), 2, 3)
+    assert ours == eager
+
+
+def test_a_suspended_walk_holds_no_cycle():
+    # This search leaves walks unfinished (the fall-through test above);
+    # dropping one frees its generators and components at once.
+    rep = case_rep("mixing", (3, 11, 2))
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        cert = und_certificate(rep, max_k=2, depth=2)
+        del cert
+        gc.collect()
+        kinds = {type(o).__name__ for o in gc.garbage}
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert not kinds & {"generator", "frame", "_Candidates", "Component"}
 
 
 def test_floors_refuse_a_non_positive_separation(square_cert):
