@@ -150,7 +150,6 @@ class SliceDerivative:
     decreasing: bool
     lower: Fraction
     upper: Fraction
-    y_range: Interval
 
 
 def _slice_derivative_data(
@@ -161,7 +160,7 @@ def _slice_derivative_data(
             raise SignNotDefinite("slope range contains zero")
         lower = min(abs(lam_box.lo), abs(lam_box.hi))
         upper = max(abs(lam_box.lo), abs(lam_box.hi))
-        return SliceDerivative(lam_box.lo > 0, lower, upper, c_box - lam_box * x_box)
+        return SliceDerivative(lam_box.lo > 0, lower, upper)
     alpha = spec.lam_box.lo
     if x_box.lo <= 0:
         raise SignNotDefinite("x box must be strictly positive for alpha-norm")
@@ -175,7 +174,7 @@ def _slice_derivative_data(
     upper = pow_bounds(x_box.hi / y_lo, alpha - 1, bits)[1]
     if lower <= 0:
         raise SignNotDefinite("derivative lower bound collapsed to zero")
-    return SliceDerivative(True, lower, upper, Interval(y_lo, y_hi))
+    return SliceDerivative(True, lower, upper)
 
 
 def derivative_bound(spec: HSpec, c_box: Interval, lam_box: Interval, x_box: Interval, bits=None) -> Fraction:
@@ -640,7 +639,6 @@ def erdos_obstruction(
     # always finds its covering translate inside this range.
     k_lo = -((khat.hull.hi - window.lo) // spacing)  # ceil((w.lo - hull.hi)/spacing)
     k_hi = (window.hi - khat.hull.lo) // spacing
-    k_lo, k_hi = int(k_lo), int(k_hi)
     if k_lo > k_hi:
         raise ValueError("window cannot hold a single companion translate")
 
@@ -649,7 +647,6 @@ def erdos_obstruction(
         moved = affine_image(k, lam, t)
         i_hi = (moved.hull.lo - khat.hull.lo) // spacing
         i_lo = -((khat.hull.hi - moved.hull.hi) // spacing)
-        i_lo, i_hi = int(i_lo), int(i_hi)
         i = max(i_lo, k_lo)
         if i > min(i_hi, k_hi):
             return MapRecord(lam, t, False, None, "no-translate-in-window", None, None, None)

@@ -126,10 +126,8 @@ class Interval:
 
 
 def _check_addr(addr: str, depth: int, *, gap: bool):
-    limit = depth if gap else depth + 1
-    if len(addr) >= limit and gap:
-        raise LevelOutOfRange(len(addr), depth)
-    if len(addr) > depth:
+    # a gap lives at a node above the leaves, an interval at any node
+    if len(addr) > depth - gap:
         raise LevelOutOfRange(len(addr), depth)
     if any(ch not in "01" for ch in addr):
         raise ValueError(f"bad node address {addr!r}")
@@ -162,10 +160,21 @@ class GapTree:
         raise NotImplementedError
 
     def level_intervals(self, n: int) -> Iterator[Interval]:
+        """Level-n intervals in address order, each node split once.
+
+        A depth-first walk with ``split_interval`` costs O(2**n) splits
+        where ``interval`` per address costs O(n * 2**n), and it holds only
+        one pending sibling per level.
+        """
         if not 0 <= n <= self.depth:
             raise LevelOutOfRange(n, self.depth)
-        for addr in addresses(n):
-            yield self.interval(addr)
+        stack = [("", self.hull.lo, self.hull.hi)]
+        while stack:
+            addr, lo, hi = stack.pop()
+            if len(addr) == n:
+                yield Interval(lo, hi)
+            else:
+                stack.extend(reversed(self.split_interval(addr, lo, hi)))
 
     def level_gaps(self, n: int) -> Iterator[Interval]:
         if not 0 <= n < self.depth:
@@ -257,6 +266,11 @@ class SymmetricGapTree(GapTree):
     not a million nodes.  Every level-n interval has the same length L_n with
     L_{n+1} = (L_n - gap_n) / 2.  The first level whose gap does not fit
     raises GapConstraintViolation; nothing is clamped.
+
+    ``integer_lengths``, the L_n as integers over one denominator, is what
+    the chain walk, dominance gate and R^d covers read.  A tree made by
+    ``affine_image`` stores only it, hull and depth; its ``Fraction``
+    ``level_lengths`` and ``gap_lengths`` (L_n - 2 L_{n+1}) are built on read.
     """
 
     def __init__(self, hull: Interval, gap_lengths: tuple[Fraction, ...]):
@@ -276,42 +290,23 @@ class SymmetricGapTree(GapTree):
             lengths.append((lengths[n] - g) / 2)
         self.level_lengths = tuple(lengths)
 
-    @classmethod
-    def _derived(
-        cls, hull: Interval, source: "SymmetricGapTree", scale: Fraction, integer_lengths: tuple
-    ) -> "SymmetricGapTree":
-        """``source`` scaled by ``scale`` > 0 and placed on ``hull``.
-
-        The per-level data is taken exactly from a valid tree, so the
-        feasibility walk of ``__init__`` is skipped, and ``gap_lengths`` and
-        ``level_lengths`` are scaled on first read (see ``affine_image``).
-        """
-        tree = cls.__new__(cls)
-        tree.hull = hull
-        tree.depth = source.depth
-        tree.integer_lengths = integer_lengths
-        tree._scaled = (source, scale)
-        return tree
-
     @cached_property
     def gap_lengths(self) -> tuple[Fraction, ...]:
-        # set by __init__; built here only for a tree made by _derived
-        source, scale = self._scaled
-        return source.gap_lengths if scale == 1 else tuple(scale * g for g in source.gap_lengths)
+        # set by __init__; built here only for a tree made by affine_image
+        nums, den = self.integer_lengths
+        return tuple(Fraction(nums[n] - 2 * nums[n + 1], den) for n in range(self.depth))
 
     @cached_property
     def level_lengths(self) -> tuple[Fraction, ...]:
         # lengths[n] is the common length of level-n intervals
-        source, scale = self._scaled
-        return source.level_lengths if scale == 1 else tuple(scale * n for n in source.level_lengths)
+        nums, den = self.integer_lengths
+        return tuple(Fraction(num, den) for num in nums)
 
     @cached_property
     def integer_lengths(self) -> tuple[tuple[int, ...], int]:
-        """``level_lengths`` as integer numerators over one denominator.
-
-        Built on first use; ``affine_image`` hands the pair on to the trees
-        it derives, so a chain walk over them adds and compares ints.
-        """
+        """``level_lengths`` as integer numerators over one denominator,
+        built on first use; ``affine_image`` scales the pair into the
+        trees it makes."""
         den = math.lcm(*(length.denominator for length in self.level_lengths))
         return tuple(length.numerator * (den // length.denominator) for length in self.level_lengths), den
 
@@ -343,23 +338,6 @@ class SymmetricGapTree(GapTree):
             raise LevelOutOfRange(n, self.depth)
         child = self.level_lengths[n + 1]
         return (addr + "0", lo, lo + child), (addr + "1", hi - child, hi)
-
-    def level_intervals(self, n: int) -> Iterator[Interval]:
-        """Level-n intervals in address order, each node split once.
-
-        A depth-first walk with ``split_interval`` costs O(2**n) additions
-        where ``interval`` per address costs O(n * 2**n), and it holds only
-        one pending sibling per level.
-        """
-        if not 0 <= n <= self.depth:
-            raise LevelOutOfRange(n, self.depth)
-        stack = [("", self.hull.lo, self.hull.hi)]
-        while stack:
-            addr, lo, hi = stack.pop()
-            if len(addr) == n:
-                yield Interval(lo, hi)
-            else:
-                stack.extend(reversed(self.split_interval(addr, lo, hi)))
 
     def to_json_obj(self) -> dict:
         # One length per level instead of 2**depth gap nodes; a depth-20
@@ -448,7 +426,9 @@ def affine_image(tree: GapTree, lam, t) -> GapTree:
     """Exact image of the tree under x -> lam*x + t.
 
     Negative lam reverses orientation, so child labels flip; the result is
-    again a valid gap tree on the image hull.
+    again a valid gap tree on the image hull.  A symmetric image holds
+    the mapped hull and ``integer_lengths`` times |lam|, and builds its
+    ``Fraction`` lengths only when read; any other tree maps gap by gap.
     """
     lam = as_rat(lam)
     t = as_rat(t)
@@ -464,14 +444,13 @@ def affine_image(tree: GapTree, lam, t) -> GapTree:
         # arithmetic gives |lam| (L - g) / 2 = (|lam| L - |lam| g) / 2, so
         # the scaled lengths are the ones SymmetricGapTree would derive.
         # Only the hull and integer_lengths are built here, which is all
-        # the integer walk and the dominance gate read; gap_lengths and
-        # level_lengths are scaled on first read.
+        # the integer walk and the dominance gate read.
         scale = abs(lam)
-        integer_lengths = tree.integer_lengths
-        if scale != 1:
-            nums, den = integer_lengths
-            integer_lengths = tuple(scale.numerator * num for num in nums), den * scale.denominator
-        return SymmetricGapTree._derived(map_iv(tree.hull), tree, scale, integer_lengths)
+        nums, den = tree.integer_lengths
+        image = SymmetricGapTree.__new__(SymmetricGapTree)
+        image.hull, image.depth = map_iv(tree.hull), tree.depth
+        image.integer_lengths = tuple(scale.numerator * num for num in nums), den * scale.denominator
+        return image
     flip = lam < 0
     gaps = {}
     for n in range(tree.depth):

@@ -17,11 +17,14 @@ factor's 1-D cover whose pieces and box are integers over one denominator
 per factor.  An axis component refines and merges its pieces once, and
 every product component that holds it shares the result: a node's
 children are the products of its axis components' children.
-Separations, diameters and ratio bounds of product components compare
-those integers and build a ``Fraction`` only for the value they return.
 A mapped geometry mixes the axes, so its cover joins the image boxes of
 integer product cells with a union-find; each box is a sum of per-axis
 image columns, one column per factor piece.
+Both covers store boxes, cells and matrix entries as integers over
+stated denominators.  Separations, diameters and ratio bounds build a
+``Fraction`` only for the value they return, exports write lowest-terms
+pairs from the integers, and ``image_separations`` builds the
+``Fraction`` cells its map reads.
 
 A non-degeneracy certificate picks, inside every node, d+1 descendant
 components that are pairwise separated on every coordinate axis.  All
@@ -63,7 +66,8 @@ DEFAULT_SEPARATION_MARGIN = Fraction(1, 1 << 40)
 _ZERO = Fraction(0)
 
 # A cell is a tuple over factors of (addr, lo, hi); addr is None for a point
-# factor.  The endpoints ride along so refinement never re-walks a tree.
+# factor.  The endpoints ride along so refinement never re-walks a tree.  A
+# cover's cells hold integers over ``_Cover.cell_dens``, ``top_cell`` Fractions.
 
 
 class EmptyGeometry(CantorForgeError):
@@ -312,9 +316,9 @@ class _Axis:
     """One factor of a product, in integers.
 
     Every endpoint of the factor is a numerator over the factor's own
-    denominator ``den``: the lcm of the hull, level-length and shift
-    denominators for a symmetric tree, of the hull, gap-endpoint and shift
-    denominators for any other tree, and of the value and shift
+    denominator ``den``: the lcm of the hull, ``integer_lengths`` and
+    shift denominators for a symmetric tree, of the hull, gap-endpoint
+    and shift denominators for any other tree, and of the value and shift
     denominators for a point.  A piece is ``(addr, lo, hi)`` in those
     numerators (addr is None for a point), and a piece is no wider than
     2**-m exactly when ``(hi - lo) << m <= den``.
@@ -335,19 +339,20 @@ class _Axis:
     def __init__(self, factor, shift: Interval, bits: int | None):
         self._lengths = self._gaps = None
         self.depth = 0
+        ends, len_den = (), 1
         if isinstance(factor, GapTree):
             self.depth = factor.depth
             top = ("", factor.hull.lo, factor.hull.hi)
             if isinstance(factor, SymmetricGapTree):
-                ends = factor.level_lengths
+                nums, len_den = factor.integer_lengths
             else:
                 gaps = {addr: factor.gap(addr) for n in range(factor.depth) for addr in addresses(n)}
                 ends = [end for g in gaps.values() for end in (g.lo, g.hi)]
         else:
-            top, ends = (None, factor, factor), ()
-        den = self.den = math.lcm(*(end.denominator for end in (*top[1:], *ends, shift.lo, shift.hi)))
+            top = (None, factor, factor)
+        den = self.den = math.lcm(len_den, *(end.denominator for end in (*top[1:], *ends, shift.lo, shift.hi)))
         if isinstance(factor, SymmetricGapTree):
-            self._lengths = tuple(_over(length, den) for length in ends)
+            self._lengths = tuple(num * (den // len_den) for num in nums)
             self._stops: dict[int, int] = {}
         elif self.depth:
             self._gaps = {addr: (_over(g.lo, den), _over(g.hi, den)) for addr, g in gaps.items()}
@@ -462,20 +467,24 @@ class AxisComponent:
 class Component:
     """One connected component of the cube cover at level ``m``.
 
+    ``box`` holds per axis ``(lo, hi)`` numerators over the cover's
+    ``box_dens``, and ``cells`` per axis ``(addr, lo, hi)`` numerators over
+    its ``cell_dens``; ``box_pairs`` and ``to_json_obj`` write them in
+    lowest terms without a ``Fraction``.
+
     A component of a matrix-free geometry is a product: ``axes`` holds one
     ``AxisComponent`` per factor, its children are the products of their
     cached children, its ``box`` is the product of theirs, and its
-    ``cells`` and ``rects`` are built from their integers on first read.  A
+    ``cells`` and ``rects`` are built from their pieces on first read.  A
     component of a mapped geometry has ``axes`` None and keeps the integer
-    cells it came from as ``pieces`` (children and ratio bounds work on
-    them; ``cells`` are built from them at each read and not kept, as an
-    export reads them once), its outward box and its cube index ranges.
-    Children are the components of the refined cover one step deeper,
-    computed on first use and cached.
+    cells it came from as ``pieces``, which are its ``cells``, with its
+    outward box and its cube index ranges.  Children are the components
+    of the refined cover one step deeper, computed on first use and
+    cached.
     """
 
     __slots__ = (
-        "cover", "level", "path", "box", "axes", "pieces", "_bbox", "_cells", "_rects", "_children", "__weakref__"
+        "cover", "level", "path", "box", "axes", "pieces", "_cells", "_rects", "_children", "__weakref__"
     )
 
     def __init__(self, cover, level, box, path, *, pieces=None, rects=None, axes=None):
@@ -487,27 +496,18 @@ class Component:
         self.box = box
         self.axes = axes
         self.pieces = pieces
-        self._bbox = self._cells = self._children = None
+        self._cells = self._children = None
         self._rects = rects
-
-    @property
-    def bbox(self) -> tuple[Interval, ...]:
-        """``box`` as ``Interval``s of ``Fraction``s, built on first read."""
-        if self._bbox is None:
-            self._bbox = tuple(
-                Interval(Fraction(lo, den), Fraction(hi, den)) for (lo, hi), den in zip(self.box, self.cover.box_dens)
-            )
-        return self._bbox
 
     def box_pairs(self) -> list:
         """``box`` as JSON ``[[lo, hi], ...]`` of ``[num, den]`` pairs in
-        lowest terms, ``rat_pair`` of ``bbox`` without a ``Fraction``."""
+        lowest terms, without a ``Fraction``."""
         return [[_lowest(lo, den), _lowest(hi, den)] for (lo, hi), den in zip(self.box, self.cover.box_dens)]
 
     @property
     def cells(self) -> tuple:
         if self.pieces is not None:
-            return _fraction_cells(self.cover.geometry.axes, self.pieces)
+            return self.pieces
         if self._cells is None:
             self._cells = _product_cells(self.axes)
         return self._cells
@@ -576,12 +576,15 @@ class Component:
     def to_json_obj(self) -> dict:
         if self.stripped:
             raise InvalidCertificate("component was stripped; rebuild with keep_cells=True to export")
+        # One [lo, hi] list per distinct piece of an axis, shared by its cells: ints per piece, not per cell.
+        ends = [
+            {addr: [_lowest(lo, den), _lowest(hi, den)] for addr, lo, hi in set(pieces)}
+            for pieces, den in zip(zip(*self.cells), self.cover.cell_dens)
+        ]
         return {
             "level": self.level,
             "bbox": self.box_pairs(),
-            "source_cells": [
-                [[rat_pair(lo), rat_pair(hi)] for (_, lo, hi) in cell] for cell in self.cells
-            ],
+            "source_cells": [[axis[addr] for axis, (addr, _, _) in zip(ends, cell)] for cell in self.cells],
             "cubes": [self.level, [list(c) for c in self.cube_coords()]],
         }
 
@@ -595,31 +598,12 @@ def _product_cells(axes) -> tuple:
     axis 0, axis 1, and so on.  Each piece carries those positions, one per
     level, as its key; interleaving the keys of the axes gives that order.
     """
-    per_axis = [
-        [((addr, Fraction(lo, x.axis.den), Fraction(hi, x.axis.den)), key) for addr, lo, hi, key in x.pieces]
-        for x in axes
-    ]
+    per_axis = [[(piece[:3], piece[3]) for piece in x.pieces] for x in axes]
     combos = sorted(
         itertools.product(*per_axis),
         key=lambda combo: tuple(itertools.chain.from_iterable(zip(*(key for _, key in combo)))),
     )
     return tuple(tuple(part for part, _ in combo) for combo in combos)
-
-
-def _fraction_cells(axes, pieces) -> tuple:
-    """Integer cells over the dens of ``axes`` as ``Fraction`` cells, with
-    one shared tuple per distinct piece, as refinement shares them."""
-    shared = [{} for _ in axes]
-    out = []
-    for cell in pieces:
-        parts = []
-        for axis, seen, (addr, lo, hi) in zip(axes, shared, cell):
-            part = seen.get(addr)
-            if part is None:
-                part = seen[addr] = (addr, Fraction(lo, axis.den), Fraction(hi, axis.den))
-            parts.append(part)
-        out.append(tuple(parts))
-    return tuple(out)
 
 
 class NestedRep:
@@ -655,8 +639,10 @@ class _Cover:
     cover keeps the matrix as integer ``rows``, and ``scales`` per factor
     and the shift ``offset`` that bring column sums to one ``den``.
     ``box_dens`` holds the denominator of each axis of the component boxes
-    (``_Axis.box_den``, or 2**bits for a mapped cover), and ``sq_den`` that
-    of their squared diameters."""
+    (``_Axis.box_den``, or 2**bits for a mapped cover), ``sq_den`` that
+    of their squared diameters, and ``cell_dens`` that of each axis of the
+    component cells (the ``den`` of ``axes``, or of the geometry's
+    unshifted ``axes`` for a mapped cover)."""
 
     def __init__(self, geometry: ProductGeometry, m0: int, max_level: int, refine_step: int, bits: int):
         self.geometry = geometry
@@ -671,11 +657,13 @@ class _Cover:
             snap = bits if any(s.lo != 0 or s.hi != 0 for s in geometry.shift) else None
             self.axes = [_Axis(f, s, snap) for f, s in zip(geometry.factors, geometry.shift)]
             self.box_dens = tuple(axis.box_den for axis in self.axes)
+            self.cell_dens = tuple(axis.den for axis in self.axes)
             self.sq_den = math.lcm(*(den ** 2 for den in self.box_dens))
             for axis in self.axes:
                 axis.sq_scale = self.sq_den // axis.box_den ** 2
         else:
             self.box_dens, self.sq_den = (1 << bits,) * geometry.dim, 1 << 2 * bits
+            self.cell_dens = tuple(axis.den for axis in geometry.axes)
             row_den, self.rows = _integer_rows(geometry.matrix.rows)
             dens = [row_den * axis.den for axis in geometry.axes]
             shift = [end for s in geometry.shift for end in (s.lo, s.hi)]
@@ -882,17 +870,18 @@ class _Candidates(list):
 
 
 def d_min(a, b) -> Fraction:
-    """Certified axis-wise separation lower bound for two components, or
-    for two boxes given as tuples of ``Interval``s.
+    """Certified axis-wise separation lower bound for two components of
+    one cover, or for two boxes given as tuples of ``Interval``s.
 
     Per axis this is the gap between the bounding-box projections (zero if
     they overlap or touch); the result is the minimum over axes, as a
     ``Fraction``.  Boxes are outward, so the true sets are at least this far
-    apart on every axis.  Two components of one cover compare their integer
-    boxes, whose per-axis denominators are the cover's ``box_dens``, by
-    cross-multiplying; other components compare their ``bbox``.
+    apart on every axis.  Two components compare their integer ``box``es,
+    whose per-axis denominators are the cover's ``box_dens``, by
+    cross-multiplying, and build one ``Fraction``, the result.  The boxes
+    of ``image_separations`` are ``Interval``s of ``Fraction``s.
     """
-    if isinstance(a, Component) and isinstance(b, Component) and a.cover is b.cover:
+    if isinstance(a, Component):
         best_n, best_q = None, 1
         for (a_lo, a_hi), (b_lo, b_hi), den in zip(a.box, b.box, a.cover.box_dens):
             gap = b_lo - a_hi
@@ -903,10 +892,8 @@ def d_min(a, b) -> Fraction:
             if best_n is None or gap * best_q < best_n * den:
                 best_n, best_q = gap, den
         return Fraction(best_n, best_q)
-    box_a = a.bbox if isinstance(a, Component) else a
-    box_b = b.bbox if isinstance(b, Component) else b
     best = None
-    for ia, ib in zip(box_a, box_b):
+    for ia, ib in zip(a, b):
         if ib.lo > ia.hi:
             gap = ib.lo - ia.hi
         elif ia.lo > ib.hi:
@@ -1581,7 +1568,9 @@ def rotation_search(
 def image_separations(cert: UndCertificate, rows, shift) -> tuple[Fraction, ...]:
     """Per-level separation floors after applying an affine map to the
     certified geometry.  Boxes are recomputed exactly from the source cells
-    through the map, so the result is again a certified lower bound."""
+    through the map, so the result is again a certified lower bound.  The
+    integer cells of each component become ``Fraction`` cells here, for
+    ``ProductGeometry.cell_image_box``."""
     rows = tuple(tuple(_as_interval(e) for e in row) for row in rows)
     shift = tuple(_as_interval(s) for s in shift)
     d = cert.dimension
@@ -1589,10 +1578,12 @@ def image_separations(cert: UndCertificate, rows, shift) -> tuple[Fraction, ...]
     def image_bbox(comp: Component):
         if comp.stripped:
             raise InvalidCertificate("certificate was stripped; rebuild with keep_cells=True")
-        geometry = comp.cover.geometry
+        geometry, dens = comp.cover.geometry, comp.cover.cell_dens
         per_axis = None
         for cell in comp.cells:
-            src = geometry.cell_image_box(cell)
+            src = geometry.cell_image_box(
+                tuple((addr, Fraction(lo, den), Fraction(hi, den)) for (addr, lo, hi), den in zip(cell, dens))
+            )
             box = []
             for i in range(d):
                 acc = shift[i]

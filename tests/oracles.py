@@ -91,12 +91,30 @@ def point_covered(cover, x):
 # ---------------------------------------------------------------------------
 # boxes in d dimensions
 
+def fraction_box(comp):
+    """A component's integer ``box`` as ``Interval``s of ``Fraction``s,
+    each axis over its ``cover.box_dens`` entry."""
+    from cantorforge.cantor1d import Interval
+
+    return tuple(Interval(Fraction(lo, den), Fraction(hi, den)) for (lo, hi), den in zip(comp.box, comp.cover.box_dens))
+
+
+def fraction_cells(comp):
+    """A component's integer ``cells`` as ``(addr, lo, hi)`` cells with
+    ``Fraction`` ends, each axis over its ``cover.cell_dens`` entry."""
+    dens = comp.cover.cell_dens
+    return tuple(
+        tuple((addr, Fraction(lo, den), Fraction(hi, den)) for (addr, lo, hi), den in zip(cell, dens))
+        for cell in comp.cells
+    )
+
+
 def cert_component_boxes(cert, level):
     """Bounding boxes of every certificate component at one chain depth."""
     boxes = []
     for node in cert.nodes_at_level(level):
         for comp in node.components:
-            boxes.append(tuple((iv.lo, iv.hi) for iv in comp.bbox))
+            boxes.append(tuple((iv.lo, iv.hi) for iv in fraction_box(comp)))
     return boxes
 
 
@@ -124,7 +142,7 @@ def boxes_intersect(boxes_a, boxes_b, shift):
 
 
 def reference_find_chain_rd(cert, companion, levels, translate=None, bits=None):
-    """The R^d chain walk in ``Fraction``s, on the components' ``bbox``.
+    """The R^d chain walk in ``Fraction``s, on the components' ``fraction_box``.
 
     Each cell is a pair of ``Fraction`` ends per axis, its slit is centered
     at the cell's midpoint with half the stage gap on either side, and the
@@ -149,7 +167,7 @@ def reference_find_chain_rd(cert, companion, levels, translate=None, bits=None):
         pick = None
         for idx, comp in enumerate(node.components):
             sides = []
-            for (lo, hi), (s_lo, s_hi), box in zip(cell, slits, comp.bbox):
+            for (lo, hi), (s_lo, s_hi), box in zip(cell, slits, fraction_box(comp)):
                 if box.lo < lo or box.hi > hi:
                     break
                 if box.hi < s_lo:
@@ -176,7 +194,7 @@ def reference_find_chain_rd(cert, companion, levels, translate=None, bits=None):
     bound_sq = d * side * side
     return ChainRd(
         steps=tuple(steps),
-        witness_component=tuple(iv.midpoint() for iv in comp.bbox),
+        witness_component=tuple(iv.midpoint() for iv in fraction_box(comp)),
         witness_cell=tuple((lo + hi) / 2 for lo, hi in cell),
         cell_side=side,
         bound_sq=bound_sq,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from cantorforge.applications import HSpec, MonotoneImageTree, _slice_derivative_data
 from cantorforge.cantor1d import (
     ExplicitGapTree,
     GapConstraintViolation,
@@ -146,8 +147,8 @@ def test_scaled_symmetric_image_equals_the_rederived_tree(lam, t, addr):
     assert img == rederived
     assert img.interval(addr) == rederived.interval(addr)
     if abs(lam) == 1:
-        assert img.gap_lengths is base.gap_lengths
-        assert img.level_lengths is base.level_lengths
+        assert img.gap_lengths == base.gap_lengths
+        assert img.level_lengths == base.level_lengths
 
 
 def test_affine_image_zero_scale():
@@ -177,8 +178,10 @@ def test_split_interval_agrees_with_interval():
     st.fractions(min_value=Fraction(1, 7), max_value=5, max_denominator=9),
 )
 def test_symmetric_level_scan_matches_interval(fractions_of_level, lo, width):
-    """The split-based level scan of a symmetric tree gives the per-address
-    ``interval`` of every address, in address order, at every level."""
+    """The split-based level scan gives the per-address ``interval`` of
+    every address, in address order, at every level: of a symmetric tree,
+    of an explicit tree with off-center gaps, and of an increasing and a
+    decreasing slice image, whose ``split_interval`` maps base nodes."""
     hull = Interval(lo, lo + width)
     gaps = []
     length = width
@@ -186,10 +189,27 @@ def test_symmetric_level_scan_matches_interval(fractions_of_level, lo, width):
         gaps.append(f * length)
         length = (length - gaps[-1]) / 2
     tree = SymmetricGapTree(hull, tuple(gaps))
-    for n in range(tree.depth + 1):
-        assert list(tree.level_intervals(n)) == [tree.interval(a) for a in addresses(n)]
-    with pytest.raises(LevelOutOfRange):
-        list(tree.level_intervals(tree.depth + 1))
+    # Each node's gap starts a third of the way into what it leaves free.
+    nodes, off_center = {"": hull}, {}
+    for n, f in enumerate(fractions_of_level):
+        for addr in addresses(n):
+            iv = nodes[addr]
+            start = iv.lo + iv.length * (1 - f) / 3
+            off_center[addr] = Interval(start, start + f * iv.length)
+            nodes[addr + "0"], nodes[addr + "1"] = Interval(iv.lo, start), Interval(start + f * iv.length, iv.hi)
+    explicit = ExplicitGapTree(hull, tree.depth, off_center)
+    trees = [tree, explicit]
+    # An affine-sum slice y = c - lam x decreases for lam > 0.
+    for base, lam in ((tree, Fraction(-2)), (explicit, Fraction(3, 2))):
+        spec = HSpec("affine-sum", Interval.point(lam), hull)
+        data = _slice_derivative_data(spec, spec.lam_box, Interval.point(Fraction(1)), hull, 64)
+        assert data.decreasing == (lam > 0)
+        trees.append(MonotoneImageTree(base, spec, lam, Fraction(1), data))
+    for t in trees:
+        for n in range(t.depth + 1):
+            assert list(t.level_intervals(n)) == [t.interval(a) for a in addresses(n)]
+        with pytest.raises(LevelOutOfRange):
+            list(t.level_intervals(t.depth + 1))
 
 
 def test_level_out_of_range():

@@ -224,7 +224,7 @@ def test_affine_image_hands_on_integer_lengths(lam):
     again = affine_image(img, Fraction(-13, 12), Fraction(1, 17))
     assert_integer_lengths(again)
     if abs(lam) == 1:
-        assert img.integer_lengths is base.integer_lengths
+        assert img.integer_lengths == base.integer_lengths
 
 
 def erdos_like_pair(rng):

@@ -76,7 +76,7 @@ def test_chain_witness_lies_in_a_certified_box(square_cert, companion):
             node = node.children[idx]
     comp = match[0]
     assert comp.path == last_path
-    for w, iv in zip(chain.witness_component, comp.bbox):
+    for w, iv in zip(chain.witness_component, oracles.fraction_box(comp)):
         assert iv.lo <= w <= iv.hi
 
 
@@ -192,7 +192,7 @@ def test_integer_chain_walk_matches_the_reference_where_edges_meet(kind):
     whole, child = base.level_lengths[0], base.level_lengths[1]
     center = [iv.midpoint() for iv in box]
     for comp in cert.root.components:
-        for axis, iv in enumerate(comp.bbox):
+        for axis, iv in enumerate(oracles.fraction_box(comp)):
             for end, offset in itertools.product((iv.lo, iv.hi), (0, child, whole - child, whole)):
                 t = center[:axis] + [end - base.hull.lo - offset] + center[axis + 1:]
                 for levels in (1, 2):
@@ -228,7 +228,9 @@ def test_integer_chain_walk_matches_the_fraction_reference(case):
 def test_integer_boxes_match_the_fraction_view(kind):
     cert, _companion, _box = chain_case(kind)
     comps = [comp for k in range(1, cert.depth + 1) for node in cert.nodes_at_level(k) for comp in node.components]
-    fraction_boxes = {comp.path: [[rat_pair(iv.lo), rat_pair(iv.hi)] for iv in comp.bbox] for comp in comps}
+    fraction_boxes = {
+        comp.path: [[rat_pair(iv.lo), rat_pair(iv.hi)] for iv in oracles.fraction_box(comp)] for comp in comps
+    }
     exported = _boxes_geometry(cert)["boxes"]
     assert len(exported) == len(comps)
     for entry in exported:
@@ -236,4 +238,4 @@ def test_integer_boxes_match_the_fraction_view(kind):
     for comp in comps:
         assert comp.to_json_obj()["bbox"] == fraction_boxes[comp.path]
     for a, b in itertools.combinations(comps, 2):
-        assert d_min(a, b) == d_min(a.bbox, b.bbox)
+        assert d_min(a, b) == d_min(oracles.fraction_box(a), oracles.fraction_box(b))

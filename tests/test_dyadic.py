@@ -216,7 +216,6 @@ def test_every_closed_interval_is_an_interval():
     spec = HSpec("alpha-norm", Interval(Fraction(2), Fraction(2)), Interval(Fraction(1, 2), Fraction(3, 4)))
     values = [
         *rep.exact_hull,
-        *cert.root.components[0].bbox,
         *(e for row in geom.matrix.rows for e in row),
         *cert.shift,
         spec.slice_point(Fraction(2), Fraction(1), Fraction(3, 5), 64),

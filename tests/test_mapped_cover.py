@@ -76,7 +76,8 @@ def mapped_geometries(draw):
 
 
 def summary(comp):
-    return comp.path, comp.cells, comp.rects, tuple((iv.lo, iv.hi) for iv in comp.bbox)
+    box = tuple((iv.lo, iv.hi) for iv in oracles.fraction_box(comp))
+    return comp.path, oracles.fraction_cells(comp), comp.rects, box
 
 
 @settings(max_examples=60)
@@ -92,7 +93,7 @@ def test_mapped_cover_matches_the_cell_by_cell_reference(case):
         nxt = []
         for comp in frontier:
             expected = oracles.reference_cover_components(
-                geom, comp.cells, comp.level + step, comp.path, bits
+                geom, oracles.fraction_cells(comp), comp.level + step, comp.path, bits
             )
             assert [summary(c) for c in comp.children()] == expected
             if max(c.diam_sq() for c in comp.children()) >= comp.diam_sq():
@@ -174,7 +175,8 @@ def test_mapped_integer_boxes_match_the_fraction_view(case):
     while comps := components_at(rep, level):
         level += 1
         for comp in comps:
-            assert comp.diam_sq() == sum((iv.hi - iv.lo) ** 2 for iv in comp.bbox)
-            assert comp.box_pairs() == [[rat_pair(iv.lo), rat_pair(iv.hi)] for iv in comp.bbox]
+            box = oracles.fraction_box(comp)
+            assert comp.diam_sq() == sum((iv.hi - iv.lo) ** 2 for iv in box)
+            assert comp.box_pairs() == [[rat_pair(iv.lo), rat_pair(iv.hi)] for iv in box]
         for a, b in itertools.combinations(comps[:12], 2):
-            assert d_min(a, b) == d_min(a.bbox, b.bbox)
+            assert d_min(a, b) == d_min(oracles.fraction_box(a), oracles.fraction_box(b))

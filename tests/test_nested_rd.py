@@ -57,9 +57,8 @@ def test_components_nest_inside_parents():
     rep = build_nested_rep(geom, 2, 4, refine_step=2)
     for parent in components_at(rep, 0):
         for child in parent.children():
-            for ax in range(2):
-                assert parent.bbox[ax].lo <= child.bbox[ax].lo
-                assert child.bbox[ax].hi <= parent.bbox[ax].hi
+            for (p_lo, p_hi), (c_lo, c_hi) in zip(parent.box, child.box):
+                assert p_lo <= c_lo and c_hi <= p_hi
 
 
 def test_certificate_shape_and_exact_separations(square_cert):
@@ -202,7 +201,8 @@ def test_confinement_compares_the_widest_separation_with_the_margin(matrix):
     # every axis, a larger one is not met on the axis it came from.
     geom = ProductGeometry([middle_thirds(6), middle_thirds(6)], matrix=matrix)
     comps = components_at(build_nested_rep(geom, 2, 4, refine_step=2), 1)
-    widest = [max(a.bbox[ax].lo - b.bbox[ax].hi for a in comps for b in comps if a is not b) for ax in range(2)]
+    boxes = [oracles.fraction_box(comp) for comp in comps]
+    widest = [max(a[ax].lo - b[ax].hi for a in boxes for b in boxes if a is not b) for ax in range(2)]
     margin = min(widest)
     assert margin > 0
     assert _confinement_explanation(2, comps, margin) == "no separated selection among the available components"
@@ -283,7 +283,7 @@ def test_dropping_cells_changes_no_separation(square_cert):
             assert [c.path for c in a.components] == [c.path for c in b.components]
             assert all(c.stripped for c in a.components)
             assert not any(c.stripped for c in b.components)
-            assert [c.bbox for c in a.components] == [c.bbox for c in b.components]
+            assert [c.box for c in a.components] == [c.box for c in b.components]
             assert a.dmins == b.dmins
             for (i, j), sep in a.dmins.items():
                 assert d_min(a.components[i], a.components[j]) == d_min(b.components[i], b.components[j]) == sep
