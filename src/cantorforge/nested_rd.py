@@ -30,15 +30,15 @@ A non-degeneracy certificate picks, inside every node, d+1 descendant
 components that are pairwise separated on every coordinate axis.  All
 separations are reported as certified lower bounds computed from outward
 boxes, so a certificate that exists is a proof.  Ratio bounds for the
-kappa-comparability test are evaluated per cell pair at the corners of the
-joint difference box, which is where a coordinate ratio of affine
-functions attains its extremes once every coordinate keeps one strict sign
-over the box; a pair whose corners do not pin every sign is degenerate.
-The scan runs on integers: cell endpoints are numerators over one common
-denominator and matrix entries over another, which a ratio of two image
-coordinates cancels, and candidate ratios are compared by
-cross-multiplying.  For a product the extremes reduce to the gaps and
-spans of the two per-axis boxes.
+kappa-comparability test are evaluated per cell pair on the images of the
+joint difference box: of its corners under a matrix, where a coordinate
+ratio of affine functions attains its extremes once every coordinate
+keeps one strict sign, and without one of the box itself, its own image.
+A pair whose signs are not pinned is degenerate.  The scan runs on
+integers: the verifier reads exported cells once, straight to numerators
+over one common denominator, and matrix entries over another, which a
+ratio of two image coordinates cancels.  For a product the extremes
+reduce to the gaps and spans of the two per-axis boxes.
 """
 
 from __future__ import annotations
@@ -470,17 +470,18 @@ class Component:
     ``box`` holds per axis ``(lo, hi)`` numerators over the cover's
     ``box_dens``, and ``cells`` per axis ``(addr, lo, hi)`` numerators over
     its ``cell_dens``; ``box_pairs`` and ``to_json_obj`` write them in
-    lowest terms without a ``Fraction``.
+    lowest terms without a ``Fraction``.  ``verify_certificate`` reads the
+    exported cells back once, as integers, and its ratio scan takes the
+    difference box of a matrix-free cell pair as the box's own image.
 
     A component of a matrix-free geometry is a product: ``axes`` holds one
     ``AxisComponent`` per factor, its children are the products of their
-    cached children, its ``box`` is the product of theirs, and its
-    ``cells`` and ``rects`` are built from their pieces on first read.  A
-    component of a mapped geometry has ``axes`` None and keeps the integer
-    cells it came from as ``pieces``, which are its ``cells``, with its
-    outward box and its cube index ranges.  Children are the components
-    of the refined cover one step deeper, computed on first use and
-    cached.
+    cached children, its ``box`` is the product of theirs, its ``cells``
+    are built from their pieces on first read and its cubes are the product
+    of their cube index sets.  A mapped component has ``axes`` None and
+    keeps its integer cells as ``pieces``, which are its ``cells``, with its
+    outward box and their cube index ranges.  Children are the components
+    of the refined cover one step deeper, computed on first use and cached.
     """
 
     __slots__ = (
@@ -511,17 +512,6 @@ class Component:
         if self._cells is None:
             self._cells = _product_cells(self.axes)
         return self._cells
-
-    @property
-    def rects(self) -> tuple:
-        if self._rects is None:
-            m = self.level
-            self._rects = tuple(
-                itertools.product(
-                    *(sorted({x.axis.cube_range(lo, hi, m) for _, lo, hi, _ in x.pieces}) for x in self.axes)
-                )
-            )
-        return self._rects
 
     @property
     def stripped(self) -> bool:
@@ -567,11 +557,17 @@ class Component:
             self._rects = ()
 
     def cube_coords(self) -> list[tuple[int, ...]]:
-        seen = set()
-        for rect in self.rects:
-            for coords in itertools.product(*(range(lo, hi + 1) for lo, hi in rect)):
-                seen.add(coords)
-        return sorted(seen)
+        """The index tuples of the component's cubes, sorted.  A product's
+        are the product of its axes' sorted cube index sets, which
+        ``itertools.product`` yields in sorted order."""
+        if self.axes is None:
+            cubes = (itertools.product(*(range(lo, hi + 1) for lo, hi in rect)) for rect in self._rects)
+            return sorted(set(itertools.chain.from_iterable(cubes)))
+        per_axis = []
+        for x in self.axes:
+            ranges = (x.axis.cube_range(lo, hi, self.level) for _, lo, hi, _ in x.pieces)
+            per_axis.append(sorted({i for lo, hi in ranges for i in range(lo, hi + 1)}))
+        return list(itertools.product(*per_axis))
 
     def to_json_obj(self) -> dict:
         if self.stripped:
@@ -805,7 +801,7 @@ class _Cover:
                 (
                     tuple(min(rects[i][axis][0] for i in members) for axis in range(d)),
                     tuple(refined[i] for i in members),
-                    tuple(sorted({rects[i] for i in members})),
+                    [rects[i] for i in members],
                     ends,
                 )
             )
@@ -916,16 +912,6 @@ def _over(x, den: int) -> int:
     return x.numerator * (den // x.denominator)
 
 
-def _integer_cells(cell_lists) -> tuple[int, list[list[tuple]]]:
-    """Cells of several lists, each a sequence of per-axis ``(lo, hi)``
-    rationals, as ``(lo, hi)`` integer numerators over one common
-    denominator; returns the denominator and the lists."""
-    den = math.lcm(*(end.denominator for cells in cell_lists for cell in cells for pair in cell for end in pair))
-    return den, [
-        [tuple((_over(lo, den), _over(hi, den)) for lo, hi in cell) for cell in cells] for cells in cell_lists
-    ]
-
-
 def _integer_rows(rows) -> tuple[int, list[list[tuple[int, int]]]]:
     """Interval matrix entries as ``(lo, hi)`` integer numerators over one
     common denominator; returns the denominator and the rows."""
@@ -937,17 +923,19 @@ def _corner_ratio_scan(cells_a, cells_b, rows, d):
     """Min/max |delta_i|/|delta_j| over the corners of the difference box
     of every cell pair, i != j.
 
-    ``cells_a`` and ``cells_b`` are integer cells from ``_integer_cells``
-    (one denominator for both lists); ``rows`` is None or the matrix from
-    ``_integer_rows``.  Scaling both coordinates of a ratio by the same
-    factor leaves it unchanged, so the numerators alone are enough.  The
-    image of a corner x on axis i is the interval sum over j of
-    min/max(m_lo*x_j, m_hi*x_j); without a matrix it is x_i.
+    ``cells_a`` and ``cells_b`` are integer cells, which ``_read_cells``
+    reads once from an export (one denominator for both lists); ``rows``
+    is None or the matrix from ``_integer_rows``.  Scaling both
+    coordinates of a ratio by the same factor leaves it unchanged, so the
+    numerators alone are enough.  The image of a corner x on axis i is the
+    interval sum over j of min/max(m_lo*x_j, m_hi*x_j).  Without a matrix
+    the difference box is its own and only image: over it the least
+    |d_i|/|d_j| is lo_i/hi_j.
 
-    Signs are pinned per cell pair: on every axis either all corners are
-    strictly positive or all are strictly negative, else DegeneratePair is
+    Signs are pinned per cell pair: on every axis either all images are
+    strictly positive or all strictly negative, else DegeneratePair is
     raised.  Only then is a ratio of two coordinates monotone along every
-    edge of the box, so that its extremes sit at corners.
+    edge of the box, so that its extremes sit at its corners.
 
     The pairs (i, j) and (j, i) give reciprocal bounds, so the greatest
     upper bound is the reciprocal of the least lower bound.  The least is
@@ -963,36 +951,24 @@ def _corner_ratio_scan(cells_a, cells_b, rows, d):
         for cell_b in cells_b:
             diffs = [(a_lo - b_hi, a_hi - b_lo) for (a_lo, a_hi), (b_lo, b_hi) in zip(cell_a, cell_b)]
             if rows is None:
-                mags = []
-                for axis, (lo, hi) in enumerate(diffs):
-                    if lo > 0:
-                        mags.append((lo, hi) if lo != hi else (lo,))
-                    elif hi < 0:
-                        mags.append((-hi, -lo) if lo != hi else (-lo,))
-                    else:
-                        raise DegeneratePair(axis)
-                # Without a matrix the least ratio at a corner is its least
-                # magnitude over its greatest.
-                for corner in itertools.product(*mags):
-                    low, high = min(corner), max(corner)
-                    if low * best_q < best_n * high:
-                        best_n, best_q = low, high
-                continue
-            images = []
-            for corner in itertools.product(*((lo, hi) if lo != hi else (lo,) for lo, hi in diffs)):
-                image = []
-                for row in rows:
-                    s_lo = s_hi = 0
-                    for (m_lo, m_hi), x in zip(row, corner):
-                        p, q = m_lo * x, m_hi * x
-                        if p <= q:
-                            s_lo += p
-                            s_hi += q
-                        else:
-                            s_lo += q
-                            s_hi += p
-                    image.append((s_lo, s_hi))
-                images.append(image)
+                # Without a matrix the difference box is its own image.
+                images = [diffs]
+            else:
+                images = []
+                for corner in itertools.product(*((lo, hi) if lo != hi else (lo,) for lo, hi in diffs)):
+                    image = []
+                    for row in rows:
+                        s_lo = s_hi = 0
+                        for (m_lo, m_hi), x in zip(row, corner):
+                            p, q = m_lo * x, m_hi * x
+                            if p <= q:
+                                s_lo += p
+                                s_hi += q
+                            else:
+                                s_lo += q
+                                s_hi += p
+                        image.append((s_lo, s_hi))
+                    images.append(image)
             for axis in range(d):
                 if all(image[axis][0] > 0 for image in images):
                     continue
@@ -1324,21 +1300,21 @@ def und_certificate(
 def verify_certificate(obj: dict) -> tuple[bool, list[str]]:
     """Re-check an exported certificate from its own data alone.
 
-    The shape is checked too: every node holds dim+1 components at one
-    cover ``level``, above the level of its parent node, its ``dmin``
-    (and its ``ratios`` when kappa is set) has one key ``"i,j"`` for each
-    pair of components i < j and no other, and every node above the
-    declared depth has dim+1 children while the leaves have none.
-    Bounding boxes are recomputed from the embedded source cells (through
-    the embedded matrix when one is present, then moved by the embedded
-    shift), separations from those, and every claimed ratio interval is
-    re-derived by a direct corner scan over the cell pairs, never by the
-    box arithmetic of the product path.  Each node's cells become integer
-    numerators over one denominator once, for both the boxes and the
-    scan.  No geometry objects from this package are rebuilt, so agreement
-    is a genuine second opinion on the arithmetic.  Data that does not
-    parse is reported as a problem, not raised; so is a cell axis with
-    lo > hi, and a cell, shift or matrix without ``dim`` axes.
+    The shape is checked too: dimension and depth are at least 1, every
+    node holds dim+1 components at one integer cover ``level``, above the
+    level of its parent node, its ``dmin`` (and its ``ratios`` when kappa
+    is set) has one key ``"i,j"`` for each pair of components i < j and no
+    other, and every node above the declared depth has dim+1 children
+    while the leaves have none.  Bounding boxes are recomputed from the
+    embedded source cells (through the embedded matrix when one is
+    present, then moved by the embedded shift), separations from those,
+    and every claimed ratio interval is re-derived by a direct scan over
+    the cell pairs (corner images under a matrix, else the difference box
+    as its own image), never by the box arithmetic of the product path.
+    Each node's cells are read once, into integers over one denominator.
+    Nothing from this package's geometry is rebuilt, so agreement is a
+    genuine second opinion.  Unparsable data, an axis with lo > hi and a
+    cell, shift or matrix without ``dim`` axes are problems, not raised.
     """
     if not isinstance(obj, dict) or obj.get("kind") != "und-certificate":
         return False, ["not a certificate object"]
@@ -1354,6 +1330,8 @@ def _check_certificate(obj: dict, problems: list[str]):
     dim, depth = obj["dimension"], obj["depth"]
     if type(dim) is not int or type(depth) is not int:
         raise TypeError("dimension and depth must be JSON integers")
+    if dim < 1 or depth < 1:
+        raise ValueError("dimension and depth must be at least 1")
     margin = rat_from_pair(obj["margin"])
     kappa = rat_from_pair(obj["kappa"]) if obj["kappa"] is not None else None
     if kappa is not None and dim < 2:
@@ -1414,13 +1392,15 @@ def _check_certificate(obj: dict, problems: list[str]):
         if len(comps) != dim + 1:
             problems.append(f"{path}: expected {dim + 1} components, found {len(comps)}")
             continue
-        cover_levels = sorted({int(comp["level"]) for comp in comps})
+        if any(type(comp["level"]) is not int for comp in comps):
+            raise TypeError("component levels must be JSON integers")
+        cover_levels = sorted({comp["level"] for comp in comps})
         if len(cover_levels) != 1:
             problems.append(f"{path}: components sit at levels {cover_levels}, not at one level")
         cover_level = cover_levels[-1]
         if parent_level is not None and cover_levels[0] <= parent_level:
             problems.append(f"{path}: level {cover_levels[0]} is not above the parent level {parent_level}")
-        den, cells = _integer_cells([_parse_cells(comp["source_cells"], dim) for comp in comps])
+        den, cells = _read_cells([comp["source_cells"] for comp in comps], dim)
         hulls = [image_hull(c, den) for c in cells]
         for idx, (comp, hull) in enumerate(zip(comps, hulls)):
             claimed = [(rat_from_pair(v[0]), rat_from_pair(v[1])) for v in comp["bbox"]]
@@ -1443,14 +1423,7 @@ def _check_certificate(obj: dict, problems: list[str]):
             if key not in dmins:
                 continue
             claimed = rat_from_pair(dmins[key])
-            actual = None
-            for axis in range(dim):
-                gap = max(
-                    hulls[j][axis].lo - hulls[i][axis].hi,
-                    hulls[i][axis].lo - hulls[j][axis].hi,
-                    Fraction(0),
-                )
-                actual = gap if actual is None else min(actual, gap)
+            actual = min(max(b.lo - a.hi, a.lo - b.hi, _ZERO) for a, b in zip(hulls[i], hulls[j]))
             if claimed > actual:
                 problems.append(f"{path}: claimed separation {key} exceeds recomputed value")
             if claimed < margin:
@@ -1489,19 +1462,32 @@ def _check_certificate(obj: dict, problems: list[str]):
         )
 
 
-def _parse_cells(source_cells, dim: int | None = None) -> list[list[tuple[Fraction, Fraction]]]:
-    """Exported ``source_cells`` as per-axis ``(lo, hi)`` rationals.
-
-    Raises ValueError on an axis with lo > hi, or on a cell without
-    ``dim`` axes when ``dim`` is given: the integer scans build no
-    intervals that would refuse either."""
-    cells = [[(rat_from_pair(lo), rat_from_pair(hi)) for lo, hi in cell] for cell in source_cells]
-    for cell in cells:
-        if dim is not None and len(cell) != dim:
-            raise ValueError(f"a source cell has {len(cell)} axes, expected {dim}")
-        if any(lo > hi for lo, hi in cell):
-            raise ValueError("a source cell has lo > hi")
-    return cells
+def _read_cells(source_lists, dim: int) -> tuple[int, list[list[tuple]]]:
+    """One positive common denominator of several components' exported
+    ``source_cells``, and the cells as per-axis ``(lo, hi)`` numerators over
+    it, without a ``Fraction``.  Ends ``rat_from_pair`` refuses raise its
+    ValueError, as do cells without ``dim`` axes or with lo > hi."""
+    dens = set()
+    for cell in itertools.chain.from_iterable(source_lists):
+        for lo, hi in cell:
+            for pair in (lo, hi):
+                num, den = pair
+                if type(num) is not int or type(den) is not int or den == 0:
+                    rat_from_pair(pair)  # raises its ValueError
+                dens.add(abs(den))
+    den = math.lcm(*dens)
+    out = []
+    for cells in source_lists:
+        out.append([])
+        for cell in cells:
+            if len(cell) != dim:
+                raise ValueError(f"a source cell has {len(cell)} axes, expected {dim}")
+            # den // d is negative for a negative d, which flips the numerator's sign.
+            ints = tuple((lo * (den // lo_d), hi * (den // hi_d)) for (lo, lo_d), (hi, hi_d) in cell)
+            if any(lo > hi for lo, hi in ints):
+                raise ValueError("a source cell has lo > hi")
+            out[-1].append(ints)
+    return den, out
 
 
 # ---------------------------------------------------------------------------

@@ -467,7 +467,7 @@ def reference_corner_ratio_scan(cells_a, cells_b, rows, d):
     ``DegeneratePair``; then every ordered axis pair gives its own lower
     and upper bound at every corner, divided out in ``Fraction``s.  One
     axis has no ratio and raises ValueError.
-    ``nested_rd._corner_ratio_scan`` over ``_integer_cells`` must return
+    ``nested_rd._corner_ratio_scan`` over ``_read_cells`` must return
     the same pair, or raise on the same input.
     """
     from cantorforge.cantor1d import Interval
@@ -586,6 +586,13 @@ def reference_product_rects(geometry, axes, m):
         for pieces, s in zip(axes, geometry.shift)
     ]
     return tuple(product(*per_axis))
+
+
+def rect_coords(rects):
+    """The sorted index tuples of the cubes in ``rects``, each rect per
+    axis a ``(lo, hi)`` range of cube indices: what ``cube_coords`` of a
+    component with those cube ranges returns."""
+    return sorted({coords for rect in rects for coords in product(*(range(lo, hi + 1) for lo, hi in rect))})
 
 
 def reference_box_ratios(axes_a, axes_b):

@@ -481,8 +481,10 @@ def test_verify_rejects_a_duplicated_component(tmp_path, capsys):
     [
         ((), 77, "root: components sit at levels"),
         ((0,), 1, "root.0: level 1 is not above the parent level"),
+        ((), 5.5, "malformed certificate"),
+        ((), "5", "malformed certificate"),
     ],
-    ids=["mixed-levels", "not-below-parent"],
+    ids=["mixed-levels", "not-below-parent", "float-level", "string-level"],
 )
 def test_verify_rejects_a_tampered_level(tmp_path, capsys, node_path, level, message):
     config = next(p for p in SCENARIOS if p.stem == "nondegeneracy_square")

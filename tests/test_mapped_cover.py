@@ -5,7 +5,7 @@ image columns as integers over one common denominator.
 ``oracles.reference_cover_components`` maps every ``Fraction`` cell
 through ``ProductGeometry.cell_image_box`` on its own and joins cells by
 an all-pairs test.  Both must give the same components, with the same
-paths, cells, cube ranges and snapped bounding boxes, at every level of
+paths, cells, cubes and snapped bounding boxes, at every level of
 the nested representation.  The reference refines its cells with
 ``oracles.reference_refine_cells``, which splits every cell on its own;
 ``ProductGeometry.refine_cells`` splits each shared integer piece once
@@ -28,10 +28,9 @@ from cantorforge.nested_rd import (
     ProductGeometry,
     RotationMatrix,
     _corner_ratio_scan,
-    _integer_cells,
     _integer_rows,
     _over,
-    _parse_cells,
+    _read_cells,
     build_nested_rep,
     components_at,
     d_min,
@@ -77,7 +76,16 @@ def mapped_geometries(draw):
 
 def summary(comp):
     box = tuple((iv.lo, iv.hi) for iv in oracles.fraction_box(comp))
-    return comp.path, oracles.fraction_cells(comp), comp.rects, box
+    return comp.path, oracles.fraction_cells(comp), comp.cube_coords(), box
+
+
+def reference_summaries(*args):
+    """``oracles.reference_cover_components`` with each component's cube
+    ranges expanded into the cubes ``summary`` reads."""
+    return [
+        (path, cells, oracles.rect_coords(rects), box)
+        for path, cells, rects, box in oracles.reference_cover_components(*args)
+    ]
 
 
 @settings(max_examples=60)
@@ -85,16 +93,14 @@ def summary(comp):
 def test_mapped_cover_matches_the_cell_by_cell_reference(case):
     geom, m0, max_level, step, bits = case
     rep = build_nested_rep(geom, m0, max_level, step, bits)
-    expected = oracles.reference_cover_components(geom, [geom.top_cell()], m0, "r", bits)
+    expected = reference_summaries(geom, [geom.top_cell()], m0, "r", bits)
     assert [summary(c) for c in rep.root_components] == expected
     frontier = rep.root_components
     not_shrinking = []
     while frontier and frontier[0].level + step <= max_level:
         nxt = []
         for comp in frontier:
-            expected = oracles.reference_cover_components(
-                geom, oracles.fraction_cells(comp), comp.level + step, comp.path, bits
-            )
+            expected = reference_summaries(geom, oracles.fraction_cells(comp), comp.level + step, comp.path, bits)
             assert [summary(c) for c in comp.children()] == expected
             if max(c.diam_sq() for c in comp.children()) >= comp.diam_sq():
                 not_shrinking.append(comp.path)
@@ -136,8 +142,8 @@ def test_refine_cells_matches_the_cell_by_cell_reference(case):
 
 def exported_scan(a, b, rows, d):
     """The corner scan of ``verify_certificate`` on two exported components."""
-    exported = [_parse_cells(json.loads(json.dumps(c.to_json_obj()))["source_cells"]) for c in (a, b)]
-    _, (cells_a, cells_b) = _integer_cells(exported)
+    exported = [json.loads(json.dumps(c.to_json_obj()))["source_cells"] for c in (a, b)]
+    _, (cells_a, cells_b) = _read_cells(exported, d)
     return _corner_ratio_scan(cells_a, cells_b, rows, d)
 
 

@@ -481,6 +481,27 @@ def test_dimension_and_depth_must_be_json_integers(field, value):
     )
 
 
+def hollow_node(level, depth):
+    """A node of one component without cells, and one such child per level
+    down to ``depth``: all that a certificate of dimension 0 would need."""
+    children = [hollow_node(level + 1, depth)] if level < depth else []
+    component = {"level": 2 * level, "source_cells": [], "bbox": []}
+    return {"k": 1, "components": [component], "dmin": {}, "ratios": None, "children": children}
+
+
+def test_dimension_and_depth_below_one_are_refused():
+    # no geometry of the producer has 0 axes, and no certificate of its is 0 levels deep
+    hollow = kappa_square_obj(1)
+    hollow.update(dimension=0, kappa=None, depth=3, root=hollow_node(1, 3))
+    shallow = kappa_square_obj(1)
+    shallow["depth"] = 0
+    for obj in (hollow, shallow):
+        assert verify_certificate(obj) == (
+            False,
+            ["malformed certificate: ValueError: dimension and depth must be at least 1"],
+        )
+
+
 def test_a_huge_claimed_dimension_is_refused_at_once():
     obj = kappa_square_obj(1)
     obj["dimension"] = 10**6
@@ -541,6 +562,27 @@ def test_an_inverted_source_cell_is_rejected():
     root["ratios"]["0,1"] = [[-2, 1], [1, 1]]
     root["ratios"]["0,2"] = [[-2, 1], [1, 1]]
     assert verify_certificate(obj) == (False, ["malformed certificate: ValueError: a source cell has lo > hi"])
+
+
+@pytest.mark.parametrize(
+    "end, problems",
+    [
+        ([1.0, 81], ["malformed certificate: ValueError: a [num, den] pair needs two integers, got [1.0, 81]"]),
+        ([True, 81], ["malformed certificate: ValueError: a [num, den] pair needs two integers, got [True, 81]"]),
+        ([1, 0], ["malformed certificate: ValueError: zero denominator in [1, 0]"]),
+        ([1, 81, 1], ["malformed certificate: ValueError: too many values to unpack (expected 2)"]),
+        ([-1, -81], []),
+    ],
+    ids=["float", "bool", "zero-denominator", "three-elements", "negative-denominator"],
+)
+def test_a_source_cell_end_is_a_pair_of_json_integers(end, problems):
+    # One end of a cell axis, [1, 81] in the export; the same rational
+    # over a negative denominator still verifies.
+    obj = kappa_square_obj(1)
+    cell = obj["root"]["components"][0]["source_cells"][0]
+    assert cell[0][1] == [1, 81]
+    cell[0][1] = end
+    assert verify_certificate(obj) == (not problems, problems)
 
 
 def test_source_cells_matrix_and_shift_must_have_every_axis():

@@ -3,15 +3,15 @@
 Under ``RotationMatrix.identity(d)`` a product geometry goes through the
 mapped cover: cell image boxes and a union-find over all product cells.
 The identity leaves every cell box as it is, so both covers must find the
-same components with the same paths, cells and cube ranges; only the
+same components with the same paths, cells and cubes; only the
 unshifted product keeps exact box endpoints where the mapped cover snaps
-them outward.  The box-gap ratio bounds of the product path must equal a
-direct corner scan over the exported source cells.
+them outward.  The box-gap ratio bounds of the product path must equal the
+verifier's scan over the exported source cells.
 
 The product path works on integers: each factor's pieces and boxes are
 numerators over one denominator.  ``oracles.reference_product_components``
-is the same cover in ``Fraction``s, and every component, box, cell, cube
-range, diameter and ratio bound must agree with it at every level.
+is the same cover in ``Fraction``s, and every component, box, cell, cube,
+diameter and ratio bound must agree with it at every level.
 """
 
 import itertools
@@ -29,8 +29,7 @@ from cantorforge.nested_rd import (
     ProductGeometry,
     RotationMatrix,
     _corner_ratio_scan,
-    _integer_cells,
-    _parse_cells,
+    _read_cells,
     build_nested_rep,
     components_at,
     d_min,
@@ -104,7 +103,7 @@ def test_product_cover_matches_the_union_find(case):
         assert [c.path for c in ours] == [c.path for c in theirs]
         for a, b in zip(ours, theirs):
             assert oracles.fraction_cells(a) == oracles.fraction_cells(b)
-            assert a.rects == b.rects
+            assert a.cube_coords() == b.cube_coords()
             box_a, box_b = oracles.fraction_box(a), oracles.fraction_box(b)
             if shifted:
                 assert box_a == box_b
@@ -129,8 +128,8 @@ def test_box_gap_ratios_match_a_corner_scan(case):
                 except DegeneratePair:
                     continue
                 raise AssertionError("an overlapping pair passed the ratio test")
-            exported = [_parse_cells(json.loads(json.dumps(c.to_json_obj()))["source_cells"]) for c in (a, b)]
-            _, (cells_a, cells_b) = _integer_cells(exported)
+            exported = [json.loads(json.dumps(c.to_json_obj()))["source_cells"] for c in (a, b)]
+            _, (cells_a, cells_b) = _read_cells(exported, geom.dim)
             assert kappa_ratios(a, b) == _corner_ratio_scan(cells_a, cells_b, None, geom.dim)
 
 
@@ -148,7 +147,7 @@ def test_integer_product_cover_matches_the_fraction_reference(case):
         for comp, (_, axes, bbox) in zip(comps, expected):
             assert [(iv.lo, iv.hi) for iv in oracles.fraction_box(comp)] == list(bbox)
             assert oracles.fraction_cells(comp) == oracles.reference_product_cells(axes)
-            assert comp.rects == oracles.reference_product_rects(geom, axes, comp.level)
+            assert comp.cube_coords() == oracles.rect_coords(oracles.reference_product_rects(geom, axes, comp.level))
             children = comp.children()
             if not children:
                 continue

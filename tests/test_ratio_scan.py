@@ -1,9 +1,11 @@
 """The integer corner scan against the Fraction/Interval reference.
 
-``integer_scan`` puts cell endpoints and matrix entries over two common
-denominators with ``nested_rd._integer_cells`` and ``_integer_rows``, and
-``_corner_ratio_scan`` scans corners on their integer numerators, the pair
-that ``verify_certificate`` runs.
+``integer_scan`` hands its cells to ``nested_rd._read_cells`` as the
+``[num, den]`` pairs of an export and its matrix to ``_integer_rows``,
+which put them over two common denominators, and ``_corner_ratio_scan``
+scans their integer numerators, the steps that ``verify_certificate``
+runs.  Without a matrix the scan takes each pair's difference box as its
+one image.
 ``oracles.reference_corner_ratio_scan`` scans the same corners with
 ``Interval`` products and ``Fraction`` divisions.  Both must give the same
 ratio bounds, or both must find a cell pair whose signs are not pinned, or
@@ -16,13 +18,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from cantorforge.cantor1d import Interval
+from cantorforge.cantor1d import Interval, rat_pair
 from cantorforge.nested_rd import (
     DegeneratePair,
     RotationMatrix,
     _corner_ratio_scan,
-    _integer_cells,
     _integer_rows,
+    _read_cells,
 )
 
 small = st.fractions(min_value=-2, max_value=2, max_denominator=6)
@@ -56,7 +58,7 @@ def cells(d: int):
 
 @st.composite
 def scans(draw):
-    d = draw(st.sampled_from([1, 2, 3]))
+    d = draw(st.sampled_from([1, 2, 3, 4]))
     cells_a = draw(cells(d))
     # Cells of b are drawn near a translate of a, so that some pairs keep
     # their signs and others touch or cross zero at a corner.
@@ -66,7 +68,8 @@ def scans(draw):
 
 
 def integer_scan(cells_a, cells_b, rows, d):
-    _, (ints_a, ints_b) = _integer_cells((cells_a, cells_b))
+    exported = [[[[rat_pair(lo), rat_pair(hi)] for lo, hi in cell] for cell in cells] for cells in (cells_a, cells_b)]
+    _, (ints_a, ints_b) = _read_cells(exported, d)
     return _corner_ratio_scan(ints_a, ints_b, None if rows is None else _integer_rows(rows)[1], d)
 
 
@@ -100,3 +103,7 @@ def test_a_difference_that_crosses_zero_is_degenerate():
     with pytest.raises(DegeneratePair) as exc:
         integer_scan([[(0, 2), (3, 3)]], [[(0, 1), (2, 2)]], None, 2)
     assert exc.value.axis == 0
+    # without a matrix, axes 0 and 2 keep their signs and axis 1 runs over [-1, 1]
+    with pytest.raises(DegeneratePair) as exc:
+        integer_scan([[(2, 3), (0, 1), (-4, -4)]], [[(0, 1), (0, 1), (1, 2)]], None, 3)
+    assert exc.value.axis == 1
